@@ -236,7 +236,9 @@ void InvariantAuditor::check_kway_state(const Graph& g,
                                         idx_t nparts,
                                         const std::vector<sum_t>& pwgts,
                                         const std::vector<idx_t>* vcount,
-                                        const char* site) {
+                                        const char* site,
+                                        const std::vector<sum_t>* id,
+                                        const std::vector<sum_t>* ed) {
   MCGP_AUDIT_MSG(this, where.size() == to_size(g.nvtxs),
                  site, ": where size ", where.size(), " != nvtxs ", g.nvtxs);
   MCGP_AUDIT_MSG(this,
@@ -271,6 +273,30 @@ void InvariantAuditor::check_kway_state(const Graph& g,
                      site, ": part ", p, " vertex count bookkeeping says ",
                      (*vcount)[to_size(p)],
                      ", recompute says ", counts[to_size(p)]);
+    }
+  }
+  if (id != nullptr || ed != nullptr) {
+    MCGP_AUDIT_MSG(this,
+                   id != nullptr && ed != nullptr &&
+                       id->size() == to_size(g.nvtxs) &&
+                       ed->size() == to_size(g.nvtxs),
+                   site, ": degree cache must hold id and ed for all ",
+                   g.nvtxs, " vertices");
+    for (idx_t v = 0; v < g.nvtxs; ++v) {
+      sum_t idw = 0, edw = 0;
+      const idx_t pv = where[to_size(v)];
+      for (idx_t e = g.xadj[to_size(v)]; e < g.xadj[to_size(v + 1)]; ++e) {
+        if (where[to_size(g.adjncy[to_size(e)])] == pv) {
+          idw = checked_add(idw, g.adjwgt[to_size(e)]);
+        } else {
+          edw = checked_add(edw, g.adjwgt[to_size(e)]);
+        }
+      }
+      MCGP_AUDIT_MSG(this,
+                     (*id)[to_size(v)] == idw && (*ed)[to_size(v)] == edw,
+                     site, ": vertex ", v, " degree cache says id=",
+                     (*id)[to_size(v)], " ed=", (*ed)[to_size(v)],
+                     ", recompute says id=", idw, " ed=", edw);
     }
   }
   bump(AuditCheck::kKWayState);

@@ -40,7 +40,7 @@ enum class AuditCheck {
   kCoarseLevel = 0,   ///< contraction conservation + cmap sanity
   kProjection,        ///< projected partition reproduces the coarse cut
   kBisectionState,    ///< 2-way pwgts/cut bookkeeping vs recompute
-  kKWayState,         ///< k-way pwgts/vcount/cut bookkeeping vs recompute
+  kKWayState,         ///< k-way pwgts/vcount/id/ed bookkeeping vs recompute
   kGainSample,        ///< sampled FM gain vs recomputed gain
   kCutDelta,          ///< accumulated move gains vs actual cut change
   kFinalPartition,    ///< structural validity of a driver's output
@@ -133,10 +133,13 @@ class InvariantAuditor {
 
   /// k-way bookkeeping: part ids in range, incrementally maintained
   /// pwgts[p*ncon+i] equal a fresh recompute, and (when non-null) the
-  /// maintained per-part vertex counts match.
+  /// maintained per-part vertex counts and per-vertex internal/external
+  /// degrees (the KWayContext id/ed cache) match.
   void check_kway_state(const Graph& g, const std::vector<idx_t>& where,
                         idx_t nparts, const std::vector<sum_t>& pwgts,
-                        const std::vector<idx_t>* vcount, const char* site);
+                        const std::vector<idx_t>* vcount, const char* site,
+                        const std::vector<sum_t>* id = nullptr,
+                        const std::vector<sum_t>* ed = nullptr);
 
   /// Sampled FM gain: the queue's claimed gain for moving v off its side
   /// equals ext - int weighted degree recomputed from the adjacency list.

@@ -1,6 +1,6 @@
 // Shared k-way refinement context: incrementally maintained part weights,
-// vertex counts, per-part/per-constraint tolerance limits, and sparse
-// connectivity scratch.
+// vertex counts, per-vertex internal/external degrees, per-part/
+// per-constraint tolerance limits, and sparse connectivity scratch.
 //
 // Extracted from the k-way refiner so every pass that mutates a k-way
 // assignment — the colored sweep, the PQ pass, the balancer, and the
@@ -20,8 +20,15 @@
 namespace mcgp {
 
 /// Sweep context over a mutable k-way assignment: part weights, vertex
-/// counts, scratch connectivity. All mutation goes through move(), which
-/// keeps the incremental state exact (audited via check_kway_state).
+/// counts, the id/ed degree cache, scratch connectivity. All mutation goes
+/// through move(), which keeps the incremental state exact (audited via
+/// check_kway_state); a pass that mutates `where` directly must reload().
+///
+/// The degree cache is the kmetis/KaFFPa gain-cache idiom: id(v) is the
+/// edge weight from v into its own part, ed(v) the edge weight into every
+/// other part. move() updates both in O(deg v) for v and its neighbors, so
+/// the sweep's boundary test and its no-move prune cost O(1) instead of an
+/// adjacency walk.
 class KWayContext {
  public:
   KWayContext(const Graph& g, idx_t nparts, std::vector<idx_t>& where,
@@ -46,13 +53,25 @@ class KWayContext {
     reload();
   }
 
-  /// Recompute part weights and counts from the current assignment
-  /// (after an external pass, e.g. kway_balance, mutated `where`).
+  /// Recompute part weights, counts and the degree cache from the current
+  /// assignment (after an external pass mutated `where`). O(n + m).
   void reload() {
     pwgts_ = part_weights(g_, where_, nparts_);
     vcount_.assign(to_size(nparts_), 0);
+    id_.assign(to_size(g_.nvtxs), 0);
+    ed_.assign(to_size(g_.nvtxs), 0);
     for (idx_t v = 0; v < g_.nvtxs; ++v) {
-      ++vcount_[to_size(where_[to_size(v)])];
+      const idx_t pv = where_[to_size(v)];
+      ++vcount_[to_size(pv)];
+      sum_t& idv = id_[to_size(v)];
+      sum_t& edv = ed_[to_size(v)];
+      for (idx_t e = g_.xadj[to_size(v)]; e < g_.xadj[to_size(v + 1)]; ++e) {
+        if (where_[to_size(g_.adjncy[to_size(e)])] == pv) {
+          idv = checked_add(idv, g_.adjwgt[to_size(e)]);
+        } else {
+          edv = checked_add(edv, g_.adjwgt[to_size(e)]);
+        }
+      }
     }
   }
 
@@ -60,6 +79,23 @@ class KWayContext {
   idx_t nparts() const { return nparts_; }
   const std::vector<sum_t>& pwgts() const { return pwgts_; }
   const std::vector<idx_t>& vcounts() const { return vcount_; }
+
+  /// Edge weight from v into its own part (internal degree).
+  sum_t id(idx_t v) const { return id_[to_size(v)]; }
+  /// Edge weight from v into all other parts (external degree).
+  sum_t ed(idx_t v) const { return ed_[to_size(v)]; }
+  const std::vector<sum_t>& ids() const { return id_; }
+  const std::vector<sum_t>& eds() const { return ed_; }
+
+  /// Whether v can be the subject of a cut-driven move: it has external
+  /// weight, or no weight at all (then only zero-weight edges can cross,
+  /// and a zero-gain move is still possible). A vertex with ed == 0 < id
+  /// is excluded even if a zero-weight edge crosses: every gain it could
+  /// see is -id < 0. With positive edge weights this is exactly the
+  /// adjacency-walk boundary.
+  bool may_move(idx_t v) const {
+    return ed_[to_size(v)] > 0 || id_[to_size(v)] == 0;
+  }
 
   bool feasible() const {
     return kway_feasible(g_, pwgts_, nparts_, ub_, tpwgts_);
@@ -159,8 +195,29 @@ class KWayContext {
   /// Never empty a part (keeps every subdomain populated).
   bool can_leave(idx_t p) const { return vcount_[to_size(p)] > 1; }
 
+  /// Move v to part `to`, updating part weights, counts, and the degrees
+  /// of v and its neighbors: an edge to a `from` neighbor turns external
+  /// for both ends, an edge to a `to` neighbor turns internal.
   void move(idx_t v, idx_t to) {
     const idx_t from = where_[to_size(v)];
+    if (from == to) return;
+    sum_t to_conn = 0;
+    for (idx_t e = g_.xadj[to_size(v)]; e < g_.xadj[to_size(v + 1)]; ++e) {
+      const idx_t u = g_.adjncy[to_size(e)];
+      const wgt_t w = g_.adjwgt[to_size(e)];
+      const idx_t pu = where_[to_size(u)];
+      if (pu == from) {
+        id_[to_size(u)] = checked_sub(id_[to_size(u)], w);
+        ed_[to_size(u)] = checked_add(ed_[to_size(u)], w);
+      } else if (pu == to) {
+        id_[to_size(u)] = checked_add(id_[to_size(u)], w);
+        ed_[to_size(u)] = checked_sub(ed_[to_size(u)], w);
+        to_conn = checked_add(to_conn, w);
+      }
+    }
+    const sum_t deg = checked_add(id_[to_size(v)], ed_[to_size(v)]);
+    id_[to_size(v)] = to_conn;
+    ed_[to_size(v)] = checked_sub(deg, to_conn);
     where_[to_size(v)] = to;
     --vcount_[to_size(from)];
     ++vcount_[to_size(to)];
@@ -173,6 +230,9 @@ class KWayContext {
     }
   }
 
+  /// Shuffled adjacency-walk boundary (the PQ pass's seed set). Kept a
+  /// walk rather than may_move(): the shuffle order depends on the exact
+  /// set, which differs from may_move() when zero-weight edges cross.
   std::vector<idx_t> boundary(Rng& rng) const {
     std::vector<idx_t> b;
     for (idx_t v = 0; v < g_.nvtxs; ++v) {
@@ -196,6 +256,8 @@ class KWayContext {
   const std::vector<real_t>* tpwgts_;
   std::vector<sum_t> pwgts_;
   std::vector<idx_t> vcount_;
+  std::vector<sum_t> id_;  ///< internal degree per vertex
+  std::vector<sum_t> ed_;  ///< external degree per vertex
   std::vector<sum_t> conn_;
   std::vector<idx_t> touched_;
   std::vector<real_t> limit_;

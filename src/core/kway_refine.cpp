@@ -56,6 +56,15 @@ namespace {
 /// depends only on sizes, never on the pool.
 constexpr idx_t kSweepChunk = 4096;
 
+/// Visit-order key of one boundary vertex in a colored sweep pass: color
+/// class, then the per-pass hash of the id, then the id. Computed once per
+/// vertex per pass so the sort compares stored keys.
+struct SweepKey {
+  idx_t color;
+  std::uint64_t hash;
+  idx_t v;
+};
+
 /// Greedy vertex coloring in ascending id order: each vertex takes the
 /// smallest color absent among its already-colored neighbors. Adjacent
 /// vertices never share a color, so same-color boundary vertices cannot
@@ -89,6 +98,10 @@ void propose_move(const Graph& /*g*/, const KWayContext& ctx,
   gain = 0;
   const idx_t own = where[to_size(v)];
   if (!ctx.can_leave(own)) return;
+  // Exact prune on the live degree cache: every part's connectivity is at
+  // most ed(v), so ed < id makes every candidate gain negative and the
+  // scan below could not propose a move either.
+  if (ctx.ed(v) < ctx.id(v)) return;
   const sum_t idw = ctx.gather_connectivity_into(v, conn, touched);
   real_t best_load = 0.0;
   for (const idx_t p : touched) {
@@ -132,45 +145,41 @@ idx_t colored_sweep(const Graph& g, KWayContext& ctx, idx_t nparts,
   // vertex id, independent of threads and chunking.
   const std::uint64_t pass_seed = rng.next_u64();
 
-  // Collect the boundary in parallel ranges; concatenating the chunk-local
+  // Snapshot the boundary in parallel ranges from the degree cache, keying
+  // each vertex once: (color, hash, id). Concatenating the chunk-local
   // lists in chunk order recovers exactly the ascending serial scan.
   const idx_t n = g.nvtxs;
   const idx_t nchunks = (n + kSweepChunk - 1) / kSweepChunk;
-  std::vector<std::vector<idx_t>> chunk_bnd(to_size(nchunks));
+  std::vector<std::vector<SweepKey>> chunk_bnd(to_size(nchunks));
   parallel_chunks(pool, n, kSweepChunk, [&](idx_t b, idx_t e) {
     ProfScope aux(profile, "kway_refine", level, /*aux=*/true);
-    std::vector<idx_t>& out = chunk_bnd[to_size(b / kSweepChunk)];
+    std::vector<SweepKey>& out = chunk_bnd[to_size(b / kSweepChunk)];
     for (idx_t v = b; v < e; ++v) {
-      const idx_t pv = where[to_size(v)];
-      for (idx_t ge = g.xadj[to_size(v)]; ge < g.xadj[to_size(v + 1)]; ++ge) {
-        if (where[to_size(g.adjncy[to_size(ge)])] != pv) {
-          out.push_back(v);
-          break;
-        }
-      }
+      if (!ctx.may_move(v)) continue;
+      out.push_back({color[to_size(v)],
+                     mix_seed(pass_seed, static_cast<std::uint64_t>(v)), v});
     }
   });
-  std::vector<idx_t> boundary;
+  std::vector<SweepKey> boundary;
   {
     std::size_t total = 0;
-    for (const std::vector<idx_t>& cb : chunk_bnd) total += cb.size();
+    for (const std::vector<SweepKey>& cb : chunk_bnd) total += cb.size();
     boundary.reserve(total);
-    for (const std::vector<idx_t>& cb : chunk_bnd) {
+    for (const std::vector<SweepKey>& cb : chunk_bnd) {
       boundary.insert(boundary.end(), cb.begin(), cb.end());
     }
   }
 
   // Visit order: color classes ascending, hashed shuffle inside a class
-  // (the parallel replacement for the serial sweep's rng shuffle).
-  std::sort(boundary.begin(), boundary.end(), [&](idx_t a, idx_t b) {
-    const idx_t ca = color[to_size(a)];
-    const idx_t cb = color[to_size(b)];
-    if (ca != cb) return ca < cb;
-    const std::uint64_t ka = mix_seed(pass_seed, static_cast<std::uint64_t>(a));
-    const std::uint64_t kb = mix_seed(pass_seed, static_cast<std::uint64_t>(b));
-    if (ka != kb) return ka < kb;
-    return a < b;
-  });
+  // (the parallel replacement for the serial sweep's rng shuffle). Keys
+  // are per-vertex, so leaving out a vertex that cannot move does not
+  // reorder the rest.
+  std::sort(boundary.begin(), boundary.end(),
+            [](const SweepKey& a, const SweepKey& b) {
+              if (a.color != b.color) return a.color < b.color;
+              if (a.hash != b.hash) return a.hash < b.hash;
+              return a.v < b.v;
+            });
 
   std::vector<idx_t> dest(boundary.size(), -1);
   std::vector<sum_t> gains(boundary.size(), 0);
@@ -179,12 +188,9 @@ idx_t colored_sweep(const Graph& g, KWayContext& ctx, idx_t nparts,
   gain_sum = 0;
   std::size_t seg_b = 0;
   while (seg_b < boundary.size()) {
-    const idx_t c = color[to_size(boundary[seg_b])];
+    const idx_t c = boundary[seg_b].color;
     std::size_t seg_e = seg_b;
-    while (seg_e < boundary.size() &&
-           color[to_size(boundary[seg_e])] == c) {
-      ++seg_e;
-    }
+    while (seg_e < boundary.size() && boundary[seg_e].color == c) ++seg_e;
     const idx_t seg_n = static_cast<idx_t>(seg_e - seg_b);
 
     // Propose phase: reads the context frozen as of this class's start.
@@ -206,7 +212,7 @@ idx_t colored_sweep(const Graph& g, KWayContext& ctx, idx_t nparts,
       touched.clear();
       for (idx_t i = b; i < e; ++i) {
         const std::size_t pos = seg_b + to_size(i);
-        propose_move(g, ctx, where, boundary[pos], conn, touched, dest[pos],
+        propose_move(g, ctx, where, boundary[pos].v, conn, touched, dest[pos],
                      gains[pos]);
       }
     });
@@ -214,7 +220,7 @@ idx_t colored_sweep(const Graph& g, KWayContext& ctx, idx_t nparts,
     // Commit phase: serial, in the class's fixed order, against the live
     // state (earlier commits of THIS class shift weights and counts).
     for (std::size_t i = seg_b; i < seg_e; ++i) {
-      const idx_t v = boundary[i];
+      const idx_t v = boundary[i].v;
       const idx_t d = dest[i];
       if (d < 0) continue;
       const idx_t own = where[to_size(v)];
@@ -266,16 +272,9 @@ idx_t balance_episode(const Graph& g, KWayContext& ctx, idx_t nparts,
     if (where[to_size(v)] != q) continue;
     if (g.weight(v, c) <= 0) continue;
     cand.push_back(v);
-    sum_t idw = 0, edw = 0;
-    for (idx_t e = g.xadj[to_size(v)]; e < g.xadj[to_size(v + 1)]; ++e) {
-      if (where[to_size(g.adjncy[to_size(e)])] == q) {
-        idw = checked_add(idw, g.adjwgt[to_size(e)]);
-      } else {
-        edw = checked_add(edw, g.adjwgt[to_size(e)]);
-      }
-    }
-    key[to_size(v)] =
-        static_cast<real_t>(checked_sub(edw, idw)) + (edw > 0 ? 1e6 : 0.0);
+    const sum_t edw = ctx.ed(v);
+    key[to_size(v)] = static_cast<real_t>(checked_sub(edw, ctx.id(v))) +
+                      (edw > 0 ? 1e6 : 0.0);
   }
   shuffle(cand, rng);
   std::stable_sort(cand.begin(), cand.end(), [&](idx_t a, idx_t b) {
@@ -419,13 +418,11 @@ idx_t pq_pass(const Graph& g, KWayContext& ctx, std::vector<idx_t>& where,
   return moves;
 }
 
-}  // namespace
-
-bool kway_balance(const Graph& g, idx_t nparts, std::vector<idx_t>& where,
-                  const std::vector<real_t>& ub, Rng& rng,
-                  const std::vector<real_t>* tpwgts, TraceRecorder* trace,
-                  InvariantAuditor* audit) {
-  KWayContext ctx(g, nparts, where, ub, tpwgts);
+/// kway_balance on an existing context: the refiners balance their own
+/// context in place instead of building a second one and reloading.
+bool balance_context(const Graph& g, KWayContext& ctx, idx_t nparts,
+                     const std::vector<idx_t>& where, Rng& rng,
+                     TraceRecorder* trace, InvariantAuditor* audit) {
   if (ctx.feasible()) return true;
 
   TraceSpan span(trace, "kway.balance");
@@ -484,7 +481,7 @@ bool kway_balance(const Graph& g, idx_t nparts, std::vector<idx_t>& where,
   // The episodes mutated pwgts/vcount incrementally across many moves.
   if (audit != nullptr && audit->boundaries()) {
     audit->check_kway_state(g, where, nparts, ctx.pwgts(), &ctx.vcounts(),
-                            "kway.balance");
+                            "kway.balance", &ctx.ids(), &ctx.eds());
   }
 
   const bool ok = ctx.feasible();
@@ -500,6 +497,16 @@ bool kway_balance(const Graph& g, idx_t nparts, std::vector<idx_t>& where,
   return ok;
 }
 
+}  // namespace
+
+bool kway_balance(const Graph& g, idx_t nparts, std::vector<idx_t>& where,
+                  const std::vector<real_t>& ub, Rng& rng,
+                  const std::vector<real_t>* tpwgts, TraceRecorder* trace,
+                  InvariantAuditor* audit) {
+  KWayContext ctx(g, nparts, where, ub, tpwgts);
+  return balance_context(g, ctx, nparts, where, rng, trace, audit);
+}
+
 sum_t kway_refine(const Graph& g, idx_t nparts, std::vector<idx_t>& where,
                   const std::vector<real_t>& ub, int max_passes, Rng& rng,
                   KWayRefineStats* stats, const std::vector<real_t>* tpwgts,
@@ -508,8 +515,7 @@ sum_t kway_refine(const Graph& g, idx_t nparts, std::vector<idx_t>& where,
   KWayContext ctx(g, nparts, where, ub, tpwgts);
 
   if (!ctx.feasible()) {
-    kway_balance(g, nparts, where, ub, rng, tpwgts, trace, audit);
-    ctx.reload();
+    balance_context(g, ctx, nparts, where, rng, trace, audit);
   }
 
   // The graph is static across passes, so one coloring serves them all.
@@ -533,7 +539,7 @@ sum_t kway_refine(const Graph& g, idx_t nparts, std::vector<idx_t>& where,
       audit->check_cut_delta(cut_before, gain_sum, edge_cut(g, where),
                              "kway.sweep");
       audit->check_kway_state(g, where, nparts, ctx.pwgts(), &ctx.vcounts(),
-                              "kway.sweep");
+                              "kway.sweep", &ctx.ids(), &ctx.eds());
     }
     if (stats != nullptr) {
       ++stats->passes;
@@ -563,12 +569,11 @@ sum_t kway_refine(const Graph& g, idx_t nparts, std::vector<idx_t>& where,
 
   if (audit != nullptr && audit->boundaries()) {
     audit->check_kway_state(g, where, nparts, ctx.pwgts(), &ctx.vcounts(),
-                            "kway.refine");
+                            "kway.refine", &ctx.ids(), &ctx.eds());
   }
 
   if (!ctx.feasible()) {
-    kway_balance(g, nparts, where, ub, rng, tpwgts, trace, audit);
-    ctx.reload();
+    balance_context(g, ctx, nparts, where, rng, trace, audit);
   }
 
   const sum_t cut = edge_cut(g, where);
@@ -587,8 +592,7 @@ sum_t kway_refine_pq(const Graph& g, idx_t nparts, std::vector<idx_t>& where,
   KWayContext ctx(g, nparts, where, ub, tpwgts);
 
   if (!ctx.feasible()) {
-    kway_balance(g, nparts, where, ub, rng, tpwgts, trace, audit);
-    ctx.reload();
+    balance_context(g, ctx, nparts, where, rng, trace, audit);
   }
 
   BucketQueue queue;
@@ -603,7 +607,7 @@ sum_t kway_refine_pq(const Graph& g, idx_t nparts, std::vector<idx_t>& where,
       audit->check_cut_delta(cut_before, gain_sum, edge_cut(g, where),
                              "kway.pq_pass");
       audit->check_kway_state(g, where, nparts, ctx.pwgts(), &ctx.vcounts(),
-                              "kway.pq_pass");
+                              "kway.pq_pass", &ctx.ids(), &ctx.eds());
     }
     if (stats != nullptr) {
       ++stats->passes;
@@ -633,12 +637,11 @@ sum_t kway_refine_pq(const Graph& g, idx_t nparts, std::vector<idx_t>& where,
 
   if (audit != nullptr && audit->boundaries()) {
     audit->check_kway_state(g, where, nparts, ctx.pwgts(), &ctx.vcounts(),
-                            "kway.refine_pq");
+                            "kway.refine_pq", &ctx.ids(), &ctx.eds());
   }
 
   if (!ctx.feasible()) {
-    kway_balance(g, nparts, where, ub, rng, tpwgts, trace, audit);
-    ctx.reload();
+    balance_context(g, ctx, nparts, where, rng, trace, audit);
   }
 
   const sum_t cut = edge_cut(g, where);

@@ -35,15 +35,9 @@ constexpr idx_t kSwapCandCap = 128;
 
 /// Relief-ordered key of a candidate move out of the overloaded part:
 /// cut gain per unit of weight removed in the scarce constraint — cheap
-/// cut damage and large relief first.
-real_t relief_key(const Graph& g, const KWayContext& ctx, idx_t v, int c,
-                  std::vector<sum_t>& conn, std::vector<idx_t>& touched) {
-  const sum_t idw = ctx.gather_connectivity_into(v, conn, touched);
-  sum_t edw = 0;
-  for (const idx_t p : touched) {
-    edw = checked_add(edw, conn[to_size(p)]);
-  }
-  return static_cast<real_t>(checked_sub(edw, idw)) /
+/// cut damage and large relief first. Read off the context's degree cache.
+real_t relief_key(const Graph& g, const KWayContext& ctx, idx_t v, int c) {
+  return static_cast<real_t>(checked_sub(ctx.ed(v), ctx.id(v))) /
          static_cast<real_t>(std::max<wgt_t>(g.weight(v, c), 1));
 }
 
@@ -145,9 +139,6 @@ sum_t greedy_episodes(const Graph& g, KWayContext& ctx, idx_t nparts,
                   static_cast<sum_t>(std::max<idx_t>(g.nvtxs, 1)));
   IndexedMaxHeap heap;
   std::vector<char> requeued(to_size(g.nvtxs), 0);
-  std::vector<sum_t> conn(to_size(nparts), 0);
-  std::vector<idx_t> touched;
-  touched.reserve(64);
   auto prev = progress_state(g, ctx, nparts);
   for (int ep = 0; ep < max_episodes; ++ep) {
     idx_t q;
@@ -160,7 +151,7 @@ sum_t greedy_episodes(const Graph& g, KWayContext& ctx, idx_t nparts,
     for (idx_t v = 0; v < g.nvtxs; ++v) {
       if (where[to_size(v)] != q) continue;
       if (g.weight(v, c) <= 0) continue;
-      heap.insert(v, relief_key(g, ctx, v, c, conn, touched));
+      heap.insert(v, relief_key(g, ctx, v, c));
     }
 
     idx_t ep_moves = 0;
@@ -172,7 +163,7 @@ sum_t greedy_episodes(const Graph& g, KWayContext& ctx, idx_t nparts,
       // Lazy revalidation: earlier moves shifted v's neighborhood. If the
       // fresh key lost its place at the top, requeue once and move on —
       // the one-requeue guard keeps the episode linear.
-      const real_t fresh = relief_key(g, ctx, v, c, conn, touched);
+      const real_t fresh = relief_key(g, ctx, v, c);
       if (requeued[to_size(v)] == 0 && fresh < popped_key - 1e-9 &&
           !heap.empty() && fresh < heap.top_key()) {
         requeued[to_size(v)] = 1;
@@ -839,7 +830,7 @@ bool rebalance_partition(const Graph& g, idx_t nparts,
 
   if (audit != nullptr && audit->boundaries()) {
     audit->check_kway_state(g, where, nparts, ctx.pwgts(), &ctx.vcounts(),
-                            "rebalance");
+                            "rebalance", &ctx.ids(), &ctx.eds());
   }
 
   st.feasible = ctx.feasible();

@@ -10,6 +10,7 @@
 #include "core/audit.hpp"
 #include "core/bisection.hpp"
 #include "core/coarsen.hpp"
+#include "core/kway_context.hpp"
 #include "core/partitioner.hpp"
 #include "gen/mesh_gen.hpp"
 #include "gen/weight_gen.hpp"
@@ -183,6 +184,35 @@ TEST(InvariantAuditor, DetectsDriftedKWayState) {
   pwgts[1] = checked_sub(pwgts[1], 2);
   vcount[2] -= 1;  // drifted vertex count
   EXPECT_THROW(aud.check_kway_state(g, where, nparts, pwgts, &vcount, "test"),
+               AuditFailure);
+}
+
+TEST(InvariantAuditor, DetectsDriftedDegreeCache) {
+  const Graph g = test_graph();
+  const idx_t nparts = 4;
+  std::vector<idx_t> where(to_size(g.nvtxs));
+  for (idx_t v = 0; v < g.nvtxs; ++v) where[to_size(v)] = v % nparts;
+  const std::vector<real_t> ub(to_size(g.ncon), 1.05);
+  KWayContext ctx(g, nparts, where, ub, nullptr);
+
+  InvariantAuditor aud(AuditLevel::kBoundaries);
+  aud.check_kway_state(g, where, nparts, ctx.pwgts(), &ctx.vcounts(), "test",
+                       &ctx.ids(), &ctx.eds());
+
+  std::vector<sum_t> ed = ctx.eds();
+  ed[5] = checked_add(ed[5], 1);  // drifted external degree
+  EXPECT_THROW(aud.check_kway_state(g, where, nparts, ctx.pwgts(),
+                                    &ctx.vcounts(), "test", &ctx.ids(), &ed),
+               AuditFailure);
+  std::vector<sum_t> id = ctx.ids();
+  id[9] = checked_sub(id[9], 1);  // drifted internal degree
+  EXPECT_THROW(aud.check_kway_state(g, where, nparts, ctx.pwgts(),
+                                    &ctx.vcounts(), "test", &id, &ctx.eds()),
+               AuditFailure);
+  // Half a cache is a caller bug, not a pass.
+  EXPECT_THROW(aud.check_kway_state(g, where, nparts, ctx.pwgts(),
+                                    &ctx.vcounts(), "test", &ctx.ids(),
+                                    nullptr),
                AuditFailure);
 }
 

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+
+#include "core/coarsen.hpp"
+#include "core/kway_context.hpp"
+#include "core/matching.hpp"
+#include "core/partitioner.hpp"
 #include "gen/mesh_gen.hpp"
 #include "gen/weight_gen.hpp"
 #include "graph/metrics.hpp"
@@ -248,6 +255,146 @@ TEST(KWayRefine, SinglePartIsNoop) {
   const sum_t cut = kway_refine(g, 1, part, ubvec(1), 4, rng);
   EXPECT_EQ(cut, 0);
   for (const idx_t p : part) EXPECT_EQ(p, 0);
+}
+
+/// The context's id/ed cache against a recompute from the adjacency.
+::testing::AssertionResult degree_cache_exact(const Graph& g,
+                                              const std::vector<idx_t>& where,
+                                              const KWayContext& ctx) {
+  for (idx_t v = 0; v < g.nvtxs; ++v) {
+    sum_t idw = 0, edw = 0;
+    for (idx_t e = g.xadj[to_size(v)]; e < g.xadj[to_size(v + 1)]; ++e) {
+      if (where[to_size(g.adjncy[to_size(e)])] == where[to_size(v)]) {
+        idw = checked_add(idw, g.adjwgt[to_size(e)]);
+      } else {
+        edw = checked_add(edw, g.adjwgt[to_size(e)]);
+      }
+    }
+    if (ctx.id(v) != idw || ctx.ed(v) != edw) {
+      return ::testing::AssertionFailure()
+             << "vertex " << v << ": cache id=" << ctx.id(v)
+             << " ed=" << ctx.ed(v) << ", recompute id=" << idw
+             << " ed=" << edw;
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Random moves (including no-op moves to the current part) keep the
+/// degree cache exact after every single move.
+void random_moves_keep_cache_exact(const Graph& g, idx_t nparts,
+                                   std::uint64_t seed, int nmoves) {
+  std::vector<idx_t> where = scrambled(g.nvtxs, nparts, seed);
+  const std::vector<real_t> ub(to_size(g.ncon), 1.05);
+  KWayContext ctx(g, nparts, where, ub, nullptr);
+  ASSERT_TRUE(degree_cache_exact(g, where, ctx));
+  Rng rng(seed + 1);
+  for (int step = 0; step < nmoves; ++step) {
+    const idx_t v = static_cast<idx_t>(
+        rng.next_below(static_cast<std::uint64_t>(g.nvtxs)));
+    const idx_t to = static_cast<idx_t>(
+        rng.next_below(static_cast<std::uint64_t>(nparts)));
+    ctx.move(v, to);
+    ASSERT_EQ(where[to_size(v)], to);
+    ASSERT_TRUE(degree_cache_exact(g, where, ctx)) << "after move " << step;
+  }
+  EXPECT_EQ(ctx.pwgts(), compute_part_weights(g, where, nparts));
+}
+
+TEST(KWayDegreeCache, RandomMovesOnUnitEdgeGrid) {
+  random_moves_keep_cache_exact(grid2d(20, 20), 5, 31, 600);
+}
+
+TEST(KWayDegreeCache, RandomMovesOnWeightedContractedGraph) {
+  // Two rounds of matching + contraction merge parallel edges, so the
+  // coarse graph carries edge weights above 1.
+  Graph g = grid2d(30, 30);
+  for (int round = 0; round < 2; ++round) {
+    Rng rng(static_cast<std::uint64_t>(round) + 5);
+    const std::vector<idx_t> match =
+        compute_matching(g, MatchScheme::kHeavyEdge, rng);
+    std::vector<idx_t> cmap;
+    const idx_t nc = build_coarse_map(g, match, cmap);
+    g = contract_graph(g, cmap, nc);
+  }
+  ASSERT_GT(*std::max_element(g.adjwgt.begin(), g.adjwgt.end()), 1);
+  random_moves_keep_cache_exact(g, 6, 41, 600);
+}
+
+TEST(KWayDegreeCache, RandomMovesWithIsolatedVertex) {
+  GraphBuilder b(12, 1);
+  for (idx_t v = 0; v + 1 < 11; ++v) b.add_edge(v, v + 1, 1 + v % 3);
+  b.add_edge(0, 5, 4);
+  const Graph g = b.build();  // vertex 11 has no edges
+  random_moves_keep_cache_exact(g, 3, 51, 200);
+
+  std::vector<idx_t> where = round_robin(12, 3);
+  const std::vector<real_t> ub(1, 1.05);
+  const KWayContext ctx(g, 3, where, ub, nullptr);
+  EXPECT_EQ(ctx.id(11), 0);
+  EXPECT_EQ(ctx.ed(11), 0);
+}
+
+TEST(KWayDegreeCache, ReloadRebuildsAfterExternalChange) {
+  const Graph g = grid2d(16, 16);
+  std::vector<idx_t> where = stripes(16, 16, 4);
+  const std::vector<real_t> ub(1, 1.05);
+  KWayContext ctx(g, 4, where, ub, nullptr);
+  ASSERT_TRUE(degree_cache_exact(g, where, ctx));
+  // Mutate the assignment behind the context's back: the cache goes stale
+  // until reload() rebuilds it.
+  for (idx_t v = 0; v < g.nvtxs; v += 7) {
+    where[to_size(v)] = (where[to_size(v)] + 1) % 4;
+  }
+  EXPECT_FALSE(degree_cache_exact(g, where, ctx));
+  ctx.reload();
+  EXPECT_TRUE(degree_cache_exact(g, where, ctx));
+  EXPECT_EQ(ctx.pwgts(), compute_part_weights(g, where, 4));
+}
+
+/// FNV-1a over a part array: pins a whole partition in one constant.
+std::uint64_t part_hash(const std::vector<idx_t>& part) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const idx_t p : part) {
+    h ^= static_cast<std::uint64_t>(static_cast<std::uint32_t>(p));
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+// Exact results recorded before the degree cache existed. The cache only
+// replaces adjacency re-scans (boundary snapshot, ed < id prune, stored
+// sort keys, balance keys), so no decision may change: a diff here means
+// the refiner's behaviour changed, not just its speed.
+TEST(KWayDegreeCache, PartitionsPinnedAcrossThreadCounts) {
+  for (const int threads : {1, 4}) {
+    Graph g = grid2d(60, 60);
+    apply_type_s_weights(g, 3, 16, 0, 19, 7);
+    Options o;
+    o.nparts = 16;
+    o.seed = 11;
+    o.num_threads = threads;
+    const PartitionResult r = partition(g, o);
+    EXPECT_EQ(r.cut, 730) << "threads=" << threads;
+    EXPECT_EQ(part_hash(r.part), 0x95d9e83c7e57ab9aULL)
+        << "threads=" << threads;
+    EXPECT_TRUE(r.feasible);
+  }
+}
+
+TEST(KWayDegreeCache, RefinePartitionPinned) {
+  Graph g = grid2d(60, 60);
+  apply_type_s_weights(g, 3, 16, 0, 19, 7);
+  Options o;
+  o.nparts = 16;
+  o.seed = 11;
+  const PartitionResult initial = partition(g, o);
+  apply_type_s_weights(g, 3, 16, 0, 19, 8);  // drift the weights
+  o.seed = 12;
+  const PartitionResult r = refine_partition(g, initial.part, o);
+  EXPECT_EQ(r.cut, 1323);
+  EXPECT_EQ(part_hash(r.part), 0x2af8786a15ed171eULL);
+  EXPECT_TRUE(r.feasible);
 }
 
 }  // namespace

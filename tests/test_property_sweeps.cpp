@@ -119,10 +119,10 @@ INSTANTIATE_TEST_SUITE_P(
                      testing::Values(Algorithm::kRecursiveBisection,
                                      Algorithm::kKWay)),
     [](const testing::TestParamInfo<std::tuple<int, Algorithm>>& pinfo) {
-      return "m" + std::to_string(std::get<0>(pinfo.param)) +
-             (std::get<1>(pinfo.param) == Algorithm::kKWay
-                  ? std::string("_kw")
-                  : std::string("_rb"));
+      std::string name(1, 'm');
+      name += std::to_string(std::get<0>(pinfo.param));
+      name += std::get<1>(pinfo.param) == Algorithm::kKWay ? "_kw" : "_rb";
+      return name;
     });
 
 /// Determinism across the whole matrix: same options -> same partition.
