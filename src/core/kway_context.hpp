@@ -6,6 +6,7 @@
 // assignment — the colored sweep, the PQ pass, the balancer, and the
 // greedy multi-constraint rebalancer (core/rebalance.hpp) — shares one
 // bookkeeping implementation and therefore one definition of feasibility.
+// The one k-way balancer, greedy_episodes, is declared at the end.
 #pragma once
 
 #include <algorithm>
@@ -77,6 +78,7 @@ class KWayContext {
 
   const Graph& graph() const { return g_; }
   idx_t nparts() const { return nparts_; }
+  const std::vector<idx_t>& where() const { return where_; }
   const std::vector<sum_t>& pwgts() const { return pwgts_; }
   const std::vector<idx_t>& vcounts() const { return vcount_; }
 
@@ -262,5 +264,34 @@ class KWayContext {
   std::vector<idx_t> touched_;
   std::vector<real_t> limit_;
 };
+
+/// Why greedy_episodes stopped; traced as kway.balance.bail.<name>.
+enum class DrainStop {
+  kFeasible,
+  kNoMoves,
+  kNoProgress,
+  kMoveCap,
+  kEpisodeCap
+};
+
+/// "feasible", "no_moves", "no_progress", "move_cap" or "episode_cap".
+const char* drain_stop_name(DrainStop stop);
+
+/// Outcome of one greedy_episodes call.
+struct DrainStats {
+  sum_t moves = 0;    ///< moves committed
+  int episodes = 0;  ///< episodes that committed at least one move
+  DrainStop stop = DrainStop::kEpisodeCap;
+};
+
+/// The k-way balancer (SC'98 MC-KW balancing with Maas-style gain-to-relief
+/// keys): each episode drains the argmax-overloaded (part, constraint)
+/// through a relief-ordered heap. A vertex may go to an adjacent part or
+/// the lightest part if it fits there or the post-move load stays below
+/// the current peak; fits, then cut gain, then lower load decide. Episodes
+/// repeat while (peak, #loads at the peak) falls lexicographically, under
+/// episode and move caps. Serial and deterministic: it draws no randomness.
+/// Defined in core/rebalance.cpp with its helpers.
+DrainStats greedy_episodes(KWayContext& ctx);
 
 }  // namespace mcgp

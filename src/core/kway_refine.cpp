@@ -239,108 +239,6 @@ idx_t colored_sweep(const Graph& g, KWayContext& ctx, idx_t nparts,
   return moves;
 }
 
-/// One balancing episode: drain the part attaining the current global
-/// maximum load. Strict `fits()` acceptance deadlocks when every part with
-/// slack in one constraint is itself overloaded in another (complementary
-/// overloads — common after a granular coarse-level initial partition), so
-/// acceptance is potential-reducing instead: a destination is admissible
-/// whenever its post-move load stays strictly below the current global
-/// maximum. Returns the number of moves performed.
-idx_t balance_episode(const Graph& g, KWayContext& ctx, idx_t nparts,
-                      const std::vector<idx_t>& where, Rng& rng) {
-  // Locate the global maximum (part q, constraint c).
-  idx_t q = -1;
-  int c = 0;
-  real_t peak = 0.0;
-  for (idx_t p = 0; p < nparts; ++p) {
-    for (int i = 0; i < g.ncon; ++i) {
-      const real_t l = ctx.overload(p, i);
-      if (l > peak) {
-        peak = l;
-        q = p;
-        c = i;
-      }
-    }
-  }
-  if (q < 0 || peak <= 1.0 + 1e-12) return 0;
-
-  // Candidates: vertices of q carrying weight in constraint c, boundary
-  // first, higher (ed - id) first — cheapest cut damage first.
-  std::vector<idx_t> cand;
-  std::vector<real_t> key(to_size(g.nvtxs), 0.0);
-  for (idx_t v = 0; v < g.nvtxs; ++v) {
-    if (where[to_size(v)] != q) continue;
-    if (g.weight(v, c) <= 0) continue;
-    cand.push_back(v);
-    const sum_t edw = ctx.ed(v);
-    key[to_size(v)] = static_cast<real_t>(checked_sub(edw, ctx.id(v))) +
-                      (edw > 0 ? 1e6 : 0.0);
-  }
-  shuffle(cand, rng);
-  std::stable_sort(cand.begin(), cand.end(), [&](idx_t a, idx_t b) {
-    return key[to_size(a)] > key[to_size(b)];
-  });
-
-  idx_t moves = 0;
-  // Early-exit: once a long run of consecutive candidates yields no
-  // admissible destination, the part is deadlocked for this episode —
-  // bail instead of scanning every remaining (worse-keyed) vertex.
-  const idx_t reject_cap = std::max<idx_t>(64, 8 * nparts);
-  idx_t rejects = 0;
-  for (const idx_t v : cand) {
-    if (where[to_size(v)] != q) continue;  // already moved
-    if (!ctx.can_leave(q)) break;
-    // Stop once q is no longer the bottleneck for constraint c.
-    if (ctx.overload(q, c) <= 1.0 + 1e-12) break;
-    if (rejects >= reject_cap) break;
-
-    const sum_t idw = ctx.gather_connectivity(v);
-    // Candidate destinations: adjacent parts plus the globally lightest.
-    idx_t lightest = -1;
-    real_t lightest_load = 1e300;
-    for (idx_t p = 0; p < nparts; ++p) {
-      if (p == q) continue;
-      const real_t l = ctx.part_load(p);
-      if (l < lightest_load) {
-        lightest_load = l;
-        lightest = p;
-      }
-    }
-    idx_t best = -1;
-    bool best_fits = false;
-    sum_t best_gain = 0;
-    real_t best_load = 0.0;
-    auto consider = [&](idx_t p) {
-      if (p < 0 || p == q) return;
-      const real_t after = ctx.load_after(v, p);
-      if (after >= peak - 1e-12) return;  // would not reduce the potential
-      const bool fits = after <= 1.0 + 1e-12;
-      const sum_t gain = checked_sub(ctx.conn(p), idw);
-      const bool better = best < 0 || (fits && !best_fits) ||
-                          (fits == best_fits &&
-                           (gain > best_gain ||
-                            (gain == best_gain && after < best_load)));
-      if (better) {
-        best = p;
-        best_fits = fits;
-        best_gain = gain;
-        best_load = after;
-      }
-    };
-    for (const idx_t p : ctx.touched()) consider(p);
-    consider(lightest);
-
-    if (best < 0) {
-      ++rejects;
-      continue;
-    }
-    rejects = 0;
-    ctx.move(v, best);
-    ++moves;
-  }
-  return moves;
-}
-
 /// Best admissible move of vertex v under the sweep rules. Returns the
 /// destination part (or -1) and its gain via out-params.
 bool best_move(const Graph& /*g*/, KWayContext& ctx,
@@ -420,77 +318,30 @@ idx_t pq_pass(const Graph& g, KWayContext& ctx, std::vector<idx_t>& where,
 
 /// kway_balance on an existing context: the refiners balance their own
 /// context in place instead of building a second one and reloading.
-bool balance_context(const Graph& g, KWayContext& ctx, idx_t nparts,
-                     const std::vector<idx_t>& where, Rng& rng,
-                     TraceRecorder* trace, InvariantAuditor* audit) {
+bool balance_context(KWayContext& ctx, TraceRecorder* trace,
+                     InvariantAuditor* audit) {
   if (ctx.feasible()) return true;
 
   TraceSpan span(trace, "kway.balance");
-  sum_t total_moves = 0;
-  int episodes = 0;
-  // Each episode drains the current argmax part, so (peak, #loads at the
-  // peak) decreases lexicographically while episodes make progress —
-  // several parts can tie at the peak, so the peak alone is not the right
-  // progress measure. Stop when an episode fails to improve it (further
-  // episodes would spin on the same deadlock). A hard move cap backstops
-  // both checks so a tight-ubvec instance terminates even if the peak
-  // creeps down by epsilon steps forever.
-  const int max_episodes = 8 * g.ncon * std::max<idx_t>(nparts, 2);
-  const sum_t move_cap =
-      checked_mul(static_cast<sum_t>(8),
-                  static_cast<sum_t>(std::max<idx_t>(g.nvtxs, 1)));
-  // Why the loop stopped — traced so tight instances are diagnosable from
-  // counters alone (kway.balance.bail.<reason>).
-  const char* bail = "episode_cap";
-  auto progress_state = [&]() {
-    const real_t peak = ctx.max_overload();
-    idx_t at_peak = 0;
-    for (idx_t p = 0; p < nparts; ++p) {
-      for (int i = 0; i < g.ncon; ++i) {
-        if (ctx.overload(p, i) > peak - 1e-9) ++at_peak;
-      }
-    }
-    return std::make_pair(peak, at_peak);
-  };
-  auto prev = progress_state();
-  for (int ep = 0; ep < max_episodes; ++ep) {
-    if (ctx.feasible()) {
-      bail = "feasible";
-      break;
-    }
-    if (total_moves >= move_cap) {
-      bail = "move_cap";
-      break;
-    }
-    const idx_t moves = balance_episode(g, ctx, nparts, where, rng);
-    if (moves == 0) {
-      bail = "no_moves";
-      break;
-    }
-    total_moves = checked_add(total_moves, moves);
-    ++episodes;
-    const auto cur = progress_state();
-    if (cur.first >= prev.first - 1e-12 && cur.second >= prev.second) {
-      bail = "no_progress";
-      break;
-    }
-    prev = cur;
-  }
-  if (ctx.feasible()) bail = "feasible";
+  const DrainStats d = greedy_episodes(ctx);
 
-  // The episodes mutated pwgts/vcount incrementally across many moves.
+  // The drain mutated pwgts/vcount incrementally across many moves.
   if (audit != nullptr && audit->boundaries()) {
-    audit->check_kway_state(g, where, nparts, ctx.pwgts(), &ctx.vcounts(),
-                            "kway.balance", &ctx.ids(), &ctx.eds());
+    audit->check_kway_state(ctx.graph(), ctx.where(), ctx.nparts(),
+                            ctx.pwgts(), &ctx.vcounts(), "kway.balance",
+                            &ctx.ids(), &ctx.eds());
   }
 
   const bool ok = ctx.feasible();
   if (span.enabled()) {
-    trace_count(trace, "kway.balance.moves", total_moves);
-    trace_count(trace, "kway.balance.episodes", episodes);
-    trace_count(trace, std::string("kway.balance.bail.") + bail);
-    span.arg({"moves", total_moves});
-    span.arg({"episodes", episodes});
+    trace_count(trace, "kway.balance.moves", d.moves);
+    trace_count(trace, "kway.balance.episodes", d.episodes);
+    // Why the drain stopped, so tight instances are diagnosable from
+    // counters alone.
+    trace_count(trace,
+                std::string("kway.balance.bail.") + drain_stop_name(d.stop));
+    span.arg({"moves", d.moves});
+    span.arg({"episodes", d.episodes});
     span.arg({"max_overload", ctx.max_overload()});
     span.arg({"feasible", static_cast<std::int64_t>(ok ? 1 : 0)});
   }
@@ -500,11 +351,11 @@ bool balance_context(const Graph& g, KWayContext& ctx, idx_t nparts,
 }  // namespace
 
 bool kway_balance(const Graph& g, idx_t nparts, std::vector<idx_t>& where,
-                  const std::vector<real_t>& ub, Rng& rng,
+                  const std::vector<real_t>& ub, Rng& /*rng*/,
                   const std::vector<real_t>* tpwgts, TraceRecorder* trace,
                   InvariantAuditor* audit) {
   KWayContext ctx(g, nparts, where, ub, tpwgts);
-  return balance_context(g, ctx, nparts, where, rng, trace, audit);
+  return balance_context(ctx, trace, audit);
 }
 
 sum_t kway_refine(const Graph& g, idx_t nparts, std::vector<idx_t>& where,
@@ -514,9 +365,7 @@ sum_t kway_refine(const Graph& g, idx_t nparts, std::vector<idx_t>& where,
                   FlightRecorder* flight, const KWayExec* exec) {
   KWayContext ctx(g, nparts, where, ub, tpwgts);
 
-  if (!ctx.feasible()) {
-    balance_context(g, ctx, nparts, where, rng, trace, audit);
-  }
+  balance_context(ctx, trace, audit);
 
   // The graph is static across passes, so one coloring serves them all.
   std::vector<idx_t> color;
@@ -572,9 +421,7 @@ sum_t kway_refine(const Graph& g, idx_t nparts, std::vector<idx_t>& where,
                             "kway.refine", &ctx.ids(), &ctx.eds());
   }
 
-  if (!ctx.feasible()) {
-    balance_context(g, ctx, nparts, where, rng, trace, audit);
-  }
+  balance_context(ctx, trace, audit);
 
   const sum_t cut = edge_cut(g, where);
   if (stats != nullptr) {
@@ -591,9 +438,7 @@ sum_t kway_refine_pq(const Graph& g, idx_t nparts, std::vector<idx_t>& where,
                      InvariantAuditor* audit, FlightRecorder* flight) {
   KWayContext ctx(g, nparts, where, ub, tpwgts);
 
-  if (!ctx.feasible()) {
-    balance_context(g, ctx, nparts, where, rng, trace, audit);
-  }
+  balance_context(ctx, trace, audit);
 
   BucketQueue queue;
   const bool delta_audit = audit != nullptr && audit->paranoid();
@@ -640,9 +485,7 @@ sum_t kway_refine_pq(const Graph& g, idx_t nparts, std::vector<idx_t>& where,
                             "kway.refine_pq", &ctx.ids(), &ctx.eds());
   }
 
-  if (!ctx.feasible()) {
-    balance_context(g, ctx, nparts, where, rng, trace, audit);
-  }
+  balance_context(ctx, trace, audit);
 
   const sum_t cut = edge_cut(g, where);
   if (stats != nullptr) {

@@ -4,8 +4,8 @@
 // to a neighboring subdomain if the move improves the cut without pushing
 // any constraint of the destination past its tolerance (or if it improves
 // balance at no cut cost). When the projected partition arrives out of
-// tolerance — coarse-vertex granularity can force this — a balancing sweep
-// runs first, preferring minimum-cut-damage moves out of overloaded parts.
+// tolerance — coarse-vertex granularity can force this — the k-way
+// balancer (greedy_episodes, core/kway_context.hpp) runs first.
 #pragma once
 
 #include <vector>
@@ -50,9 +50,14 @@ bool kway_feasible(const Graph& g, const std::vector<sum_t>& pwgts,
                    idx_t nparts, const std::vector<real_t>& ub,
                    const std::vector<real_t>* tpwgts = nullptr);
 
-/// Balancing sweeps: move weight out of overloaded parts with the least
-/// cut damage until feasible or stuck. Returns true when feasible.
-/// `tpwgts` (optional) gives per-part target fractions; null = uniform.
+/// Run the k-way balancer (greedy_episodes, core/kway_context.hpp) on
+/// `where`: drain the most overloaded (part, constraint) with cheap cut
+/// damage and large relief first, until feasible or stuck. Returns true
+/// when feasible. `tpwgts` (optional) gives per-part target fractions;
+/// null = uniform. A non-null `trace` records a "kway.balance" span with
+/// one kway.balance.bail.<reason> counter; a non-null `audit` checks the
+/// incremental state afterwards (kBoundaries). `rng` is unused — the
+/// balancer draws no randomness — and kept only for source compatibility.
 bool kway_balance(const Graph& g, idx_t nparts, std::vector<idx_t>& where,
                   const std::vector<real_t>& ub, Rng& rng,
                   const std::vector<real_t>* tpwgts = nullptr,

@@ -125,14 +125,24 @@ std::pair<real_t, idx_t> progress_state(const Graph& g,
   return {peak, at_peak};
 }
 
-/// Greedy gain-to-relief episodes: repeatedly pick the argmax overloaded
-/// (part, constraint), drain it through a relief-ordered indexed heap with
-/// lazy key revalidation, and stop when feasible, deadlocked, or out of
-/// progress. Returns the number of moves committed.
-sum_t greedy_episodes(const Graph& g, KWayContext& ctx, idx_t nparts,
-                      const std::vector<idx_t>& where, int* episodes_out) {
-  sum_t total = 0;
-  int episodes = 0;
+}  // namespace
+
+const char* drain_stop_name(DrainStop stop) {
+  switch (stop) {
+    case DrainStop::kFeasible: return "feasible";
+    case DrainStop::kNoMoves: return "no_moves";
+    case DrainStop::kNoProgress: return "no_progress";
+    case DrainStop::kMoveCap: return "move_cap";
+    case DrainStop::kEpisodeCap: return "episode_cap";
+  }
+  return "unknown";
+}
+
+DrainStats greedy_episodes(KWayContext& ctx) {
+  const Graph& g = ctx.graph();
+  const idx_t nparts = ctx.nparts();
+  const std::vector<idx_t>& where = ctx.where();
+  DrainStats st;
   const int max_episodes = 16 * g.ncon * std::max<idx_t>(nparts, 2);
   const sum_t move_cap =
       checked_mul(static_cast<sum_t>(8),
@@ -143,8 +153,16 @@ sum_t greedy_episodes(const Graph& g, KWayContext& ctx, idx_t nparts,
   for (int ep = 0; ep < max_episodes; ++ep) {
     idx_t q;
     int c;
-    if (!find_peak(g, ctx, nparts, q, c)) break;
-    if (total >= move_cap) break;
+    // No peak above tolerance: feasible, or within the feasibility slack
+    // of it with nothing left to drain.
+    if (!find_peak(g, ctx, nparts, q, c)) {
+      st.stop = DrainStop::kNoMoves;
+      break;
+    }
+    if (st.moves >= move_cap) {
+      st.stop = DrainStop::kMoveCap;
+      break;
+    }
 
     heap.reset(g.nvtxs);
     std::fill(requeued.begin(), requeued.end(), 0);
@@ -178,16 +196,24 @@ sum_t greedy_episodes(const Graph& g, KWayContext& ctx, idx_t nparts,
       ++ep_moves;
     }
 
-    if (ep_moves == 0) break;  // deadlocked — the caller escalates
-    total = checked_add(total, ep_moves);
-    ++episodes;
+    if (ep_moves == 0) {  // deadlocked — the caller escalates
+      st.stop = DrainStop::kNoMoves;
+      break;
+    }
+    st.moves = checked_add(st.moves, ep_moves);
+    ++st.episodes;
     const auto cur = progress_state(g, ctx, nparts);
-    if (cur.first >= prev.first - kEps && cur.second >= prev.second) break;
+    if (cur.first >= prev.first - kEps && cur.second >= prev.second) {
+      st.stop = DrainStop::kNoProgress;
+      break;
+    }
     prev = cur;
   }
-  if (episodes_out != nullptr) *episodes_out += episodes;
-  return total;
+  if (ctx.feasible()) st.stop = DrainStop::kFeasible;
+  return st;
 }
+
+namespace {
 
 /// Tolerance-relative load of part p after removing vertex `out` and
 /// adding vertex `in` (either may be -1 for "none").
@@ -515,6 +541,24 @@ void overload_sum_escape(const Graph& g, KWayContext& ctx, idx_t nparts,
   }
 }
 
+/// The rebalancer's descent sequence on one context: drain the peak, then
+/// pairwise swaps, then the summed-overload escapes, each stage only while
+/// still infeasible. Work is added to `st`.
+void descend(KWayContext& ctx, RebalanceStats& st) {
+  const Graph& g = ctx.graph();
+  const DrainStats d = greedy_episodes(ctx);
+  st.moves = checked_add(st.moves, d.moves);
+  st.episodes += d.episodes;
+  if (!ctx.feasible()) {
+    st.swaps = checked_add(st.swaps,
+                           swap_escape(g, ctx, ctx.nparts(), ctx.where()));
+  }
+  if (!ctx.feasible()) {
+    overload_sum_escape(g, ctx, ctx.nparts(), ctx.where(), &st.moves,
+                        &st.swaps);
+  }
+}
+
 /// One level of the partition-restricted hierarchy.
 struct VLevel {
   Graph graph;
@@ -592,21 +636,15 @@ bool run_vcycle(const Graph& g, idx_t nparts, std::vector<idx_t>& where,
   }
   if (levels.empty()) return false;
 
-  // Coarsest problem: balance + greedy relief + swaps + refine. Clusters
-  // move as units here, which is exactly the strength single-vertex moves
-  // at the finest level lack.
+  // Coarsest problem: the descent sequence, then refine. Clusters move as
+  // units here, which is exactly the strength single-vertex moves at the
+  // finest level lack.
   {
     Graph& cg = levels.back().graph;
     std::vector<idx_t>& cw = parts.back();
-    kway_balance(cg, nparts, cw, ub, rng, tpwgts, trace, audit);
     KWayContext cctx(cg, nparts, cw, ub, tpwgts);
-    greedy_episodes(cg, cctx, nparts, cw, nullptr);
-    if (!cctx.feasible()) swap_escape(cg, cctx, nparts, cw);
-    if (!cctx.feasible()) {
-      sum_t cm = 0;
-      sum_t cs = 0;
-      overload_sum_escape(cg, cctx, nparts, cw, &cm, &cs);
-    }
+    RebalanceStats coarse;  // coarse-level work is not reported
+    descend(cctx, coarse);
     kway_refine(cg, nparts, cw, ub, /*max_passes=*/4, rng, nullptr, tpwgts,
                 trace, audit, nullptr, nullptr);
   }
@@ -747,14 +785,7 @@ bool rebalance_partition(const Graph& g, idx_t nparts,
     }
   };
 
-  st.moves = checked_add(st.moves,
-                         greedy_episodes(g, ctx, nparts, where, &st.episodes));
-  if (!ctx.feasible()) {
-    st.swaps = checked_add(st.swaps, swap_escape(g, ctx, nparts, where));
-  }
-  if (!ctx.feasible()) {
-    overload_sum_escape(g, ctx, nparts, where, &st.moves, &st.swaps);
-  }
+  descend(ctx, st);
   note_state();
 
   for (int cycle = 0; cycle < max_vcycles && !ctx.feasible(); ++cycle) {
@@ -763,14 +794,7 @@ bool rebalance_partition(const Graph& g, idx_t nparts,
     if (!run_vcycle(g, nparts, where, ub, rng, tpwgts, trace, audit)) break;
     ctx.reload();
     ++st.vcycles;
-    st.moves = checked_add(
-        st.moves, greedy_episodes(g, ctx, nparts, where, &st.episodes));
-    if (!ctx.feasible()) {
-      st.swaps = checked_add(st.swaps, swap_escape(g, ctx, nparts, where));
-    }
-    if (!ctx.feasible()) {
-      overload_sum_escape(g, ctx, nparts, where, &st.moves, &st.swaps);
-    }
+    descend(ctx, st);
     note_state();
     // A full cycle that moved neither the peak nor the summed overload
     // will not move them next time either (same deterministic pipeline,
@@ -813,8 +837,9 @@ bool rebalance_partition(const Graph& g, idx_t nparts,
         ctx.move(v, to);
         st.moves = checked_add(st.moves, 1);
       }
-      st.moves = checked_add(
-          st.moves, greedy_episodes(g, ctx, nparts, where, &st.episodes));
+      const DrainStats d = greedy_episodes(ctx);
+      st.moves = checked_add(st.moves, d.moves);
+      st.episodes += d.episodes;
       overload_sum_escape(g, ctx, nparts, where, &st.moves, &st.swaps);
       note_state();
     }

@@ -1,11 +1,13 @@
 // Greedy multi-constraint rebalancing (Maas-style gain-to-relief moves)
 // plus a bounded restricted V-cycle (Sanders/Schulz iterated multilevel),
-// invoked whenever kway_balance exits with residual overload. This is the
-// feasibility backstop of the pipeline: kway_balance is a fast drain of the
-// current peak, while rebalance_partition keeps working the instance —
-// relief-ordered heap moves, pairwise swaps on small graphs, and
-// partition-restricted re-coarsening — until every constraint of every
-// part is within ubvec or the bounded effort is exhausted.
+// invoked whenever the k-way balancer exits with residual overload. This
+// is the feasibility backstop of the pipeline. The balancer itself,
+// greedy_episodes (core/kway_context.hpp, defined in rebalance.cpp), is
+// the drain that kway_balance and the k-way refiners run; when it stops
+// short, rebalance_partition keeps working the instance — pairwise swaps
+// and summed-overload descent on small graphs, partition-restricted
+// re-coarsening, random kicks — until every constraint of every part is
+// within ubvec or the bounded effort is exhausted.
 //
 // Determinism contract (PR 7): everything here is serial and derives every
 // ordering decision from vertex ids, edge weights, and the caller's Rng

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
 
 #include "core/coarsen.hpp"
 #include "core/kway_context.hpp"
@@ -13,6 +14,7 @@
 #include "gen/weight_gen.hpp"
 #include "graph/metrics.hpp"
 #include "support/thread_pool.hpp"
+#include "support/trace.hpp"
 #include "support/workspace.hpp"
 
 namespace mcgp {
@@ -122,11 +124,17 @@ TEST(KWayRefine, MultiConstraintStaysFeasible) {
   for (const real_t lb : imbalance(g, part, 8)) EXPECT_LE(lb, 1.10 + 1e-9);
 }
 
-TEST(KWayBalance, RepairsSkewedPartition) {
-  Graph g = grid2d(16, 16);
-  // Everything in part 0 except a few vertices.
+/// Everything in part 0 of a 16x16 grid except vertices 1..3: the input
+/// of RepairsSkewedPartition.
+std::vector<idx_t> skewed_grid16() {
   std::vector<idx_t> part(256, 0);
   for (idx_t p = 1; p < 4; ++p) part[to_size(p)] = p;
+  return part;
+}
+
+TEST(KWayBalance, RepairsSkewedPartition) {
+  Graph g = grid2d(16, 16);
+  std::vector<idx_t> part = skewed_grid16();
   Rng rng(6);
   EXPECT_TRUE(kway_balance(g, 4, part, ubvec(1, 1.05), rng));
   EXPECT_LE(max_imbalance(g, part, 4), 1.05 + 1e-9);
@@ -160,6 +168,63 @@ TEST(KWayBalance, ComplementaryOverloadEscape) {
   Rng rng(8);
   kway_balance(g, 4, part, ubvec(2, 1.10), rng);
   EXPECT_LE(max_imbalance(g, part, 4), 1.35);  // from ~1.8+ initially
+}
+
+/// The kway.balance.bail.<reason> counters a traced run recorded.
+std::vector<std::string> bail_counters(const TraceRecorder& tr) {
+  const CounterRegistry merged = tr.merged_counters();
+  std::vector<std::string> out;
+  for (const auto& [name, value] : merged.counters()) {
+    if (name.rfind("kway.balance.bail.", 0) == 0 && value > 0) {
+      out.push_back(name);
+    }
+  }
+  return out;
+}
+
+TEST(KWayBalance, TracesExactlyOneBailReason) {
+  {
+    Graph g = grid2d(16, 16);
+    std::vector<idx_t> part = skewed_grid16();
+    TraceRecorder tr;
+    Rng rng(6);
+    EXPECT_TRUE(kway_balance(g, 4, part, ubvec(1, 1.05), rng, nullptr, &tr));
+    EXPECT_EQ(bail_counters(tr),
+              std::vector<std::string>{"kway.balance.bail.feasible"});
+  }
+  {
+    // One vertex carries half the total weight, so no 4-way partition is
+    // within 5%: the balancer must stop for a reason other than feasible.
+    GraphBuilder bld(8, 1);
+    for (idx_t v = 0; v + 1 < 8; ++v) bld.add_edge(v, v + 1);
+    for (idx_t v = 0; v < 8; ++v) {
+      bld.set_weights(v, std::vector<wgt_t>{v == 0 ? 7 : 1});
+    }
+    Graph g = bld.build();
+    std::vector<idx_t> part = {0, 0, 0, 0, 0, 1, 2, 3};
+    TraceRecorder tr;
+    Rng rng(6);
+    EXPECT_FALSE(kway_balance(g, 4, part, ubvec(1, 1.05), rng, nullptr, &tr));
+    const std::vector<std::string> bails = bail_counters(tr);
+    ASSERT_EQ(bails.size(), 1u);
+    EXPECT_NE(bails[0], "kway.balance.bail.feasible");
+  }
+}
+
+TEST(KWayBalance, UsesNoRandomness) {
+  Graph g = random_geometric(600, 0, 8, 3);
+  apply_type_s_weights(g, 3, 16, 0, 19, 5);
+  std::vector<idx_t> a(to_size(g.nvtxs));
+  for (idx_t v = 0; v < g.nvtxs; ++v) a[to_size(v)] = v < 300 ? 0 : v % 5;
+  std::vector<idx_t> b = a;
+  Rng r1(1);
+  Rng r99(99);
+  const Rng r1_before = r1;
+  kway_balance(g, 5, a, ubvec(3, 1.10), r1);
+  kway_balance(g, 5, b, ubvec(3, 1.10), r99);
+  EXPECT_EQ(a, b);
+  Rng untouched = r1_before;
+  for (int i = 0; i < 4; ++i) EXPECT_EQ(r1.next_u64(), untouched.next_u64());
 }
 
 TEST(KWayRefine, StatsConsistent) {
@@ -362,7 +427,7 @@ std::uint64_t part_hash(const std::vector<idx_t>& part) {
   return h;
 }
 
-// Exact results recorded before the degree cache existed. The cache only
+// Exact result recorded before the degree cache existed. The cache only
 // replaces adjacency re-scans (boundary snapshot, ed < id prune, stored
 // sort keys, balance keys), so no decision may change: a diff here means
 // the refiner's behaviour changed, not just its speed.
@@ -382,6 +447,8 @@ TEST(KWayDegreeCache, PartitionsPinnedAcrossThreadCounts) {
   }
 }
 
+// Exact result of the repair path (refine_partition: k-way balancer, sweep,
+// rebalancer); a diff here means the repair behaviour changed.
 TEST(KWayDegreeCache, RefinePartitionPinned) {
   Graph g = grid2d(60, 60);
   apply_type_s_weights(g, 3, 16, 0, 19, 7);
@@ -392,8 +459,8 @@ TEST(KWayDegreeCache, RefinePartitionPinned) {
   apply_type_s_weights(g, 3, 16, 0, 19, 8);  // drift the weights
   o.seed = 12;
   const PartitionResult r = refine_partition(g, initial.part, o);
-  EXPECT_EQ(r.cut, 1323);
-  EXPECT_EQ(part_hash(r.part), 0x2af8786a15ed171eULL);
+  EXPECT_EQ(r.cut, 1346);
+  EXPECT_EQ(part_hash(r.part), 0x77564b14a43d3adcULL);
   EXPECT_TRUE(r.feasible);
 }
 
