@@ -29,9 +29,20 @@ Graph make_bench_graph(idx_t side, int m) {
   return g;
 }
 
+// rb-fe-m3's input: the 20000-vertex graded FE mesh with Type-P weights.
+Graph make_fe_mesh_graph(int m) {
+  Graph g = fe_mesh(20000, 1);
+  if (m > 1) apply_type_p_weights(g, m, 32, 2);
+  return g;
+}
+
+// One serial greedy matching pass, kHeavyEdgeBalanced. range(0) = grid
+// side, or 0 for the FE mesh; range(1) = m.
 void BM_Matching(benchmark::State& state) {
-  const Graph g = make_bench_graph(static_cast<idx_t>(state.range(0)),
-                                   static_cast<int>(state.range(1)));
+  const int m = static_cast<int>(state.range(1));
+  const Graph g = state.range(0) > 0
+                      ? make_bench_graph(static_cast<idx_t>(state.range(0)), m)
+                      : make_fe_mesh_graph(m);
   Rng rng(1);
   for (auto _ : state) {
     auto match = compute_matching(g, MatchScheme::kHeavyEdgeBalanced, rng);
@@ -39,7 +50,11 @@ void BM_Matching(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * g.nvtxs);
 }
-BENCHMARK(BM_Matching)->Args({200, 1})->Args({200, 3})->Args({400, 3});
+BENCHMARK(BM_Matching)
+    ->Args({200, 1})
+    ->Args({200, 3})
+    ->Args({400, 3})
+    ->Args({0, 3});
 
 void BM_MatchingWorkspace(benchmark::State& state) {
   const Graph g = make_bench_graph(static_cast<idx_t>(state.range(0)),
@@ -84,29 +99,6 @@ void BM_ContractWorkspace(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * g.nedges());
 }
 BENCHMARK(BM_ContractWorkspace)->Arg(200)->Arg(400);
-
-// Parallel handshake matching at t threads (t=1 runs the identical
-// algorithm inline — the honest baseline, since the algorithm is selected
-// by graph size, never by thread count). side=200 -> 40000 vertices, well
-// above kHandshakeMinVtxs.
-void BM_MatchingParallel(benchmark::State& state) {
-  const Graph g = make_bench_graph(static_cast<idx_t>(state.range(0)), 3);
-  const int threads = static_cast<int>(state.range(1));
-  std::unique_ptr<ThreadPool> pool;
-  if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
-  MatchingExec exec;
-  exec.pool = pool.get();
-  Rng rng(1);
-  Workspace ws;
-  std::vector<idx_t> match;
-  for (auto _ : state) {
-    compute_matching_into(g, MatchScheme::kHeavyEdgeBalanced, rng, match,
-                          nullptr, &ws, &exec);
-    benchmark::DoNotOptimize(match.data());
-  }
-  state.SetItemsProcessed(state.iterations() * g.nvtxs);
-}
-BENCHMARK(BM_MatchingParallel)->Args({200, 1})->Args({200, 8});
 
 // Chunked parallel contraction at t threads against the same-output
 // serial row builder (t=1 -> null pool -> serial path).

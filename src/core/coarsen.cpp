@@ -187,14 +187,9 @@ Hierarchy coarsen_graph(const Graph& g, const CoarsenParams& params, Rng& rng,
     if (cur->nvtxs <= params.coarsen_to) break;
 
     TraceSpan sp(params.trace, "coarsen.level");
-    MatchingExec mexec;
-    mexec.pool = params.pool;
-    mexec.profile = params.profile;
-    mexec.level = level;
     ProfScope match_scope(params.profile, "coarsen.matching", level);
     match_scope.work(cur->nedges(), cur->nvtxs);
-    compute_matching_into(*cur, params.scheme, rng, match, params.trace, ws,
-                          &mexec);
+    compute_matching_into(*cur, params.scheme, rng, match, params.trace, ws);
     std::vector<idx_t> cmap;  // kept by the hierarchy: allocated fresh
     const idx_t ncoarse = build_coarse_map(*cur, match, cmap);
     match_scope.finish();

@@ -74,9 +74,10 @@ struct CoarsenParams {
   /// Optional hardware-counter profiler: one measured interval per level
   /// for matching and for contraction. Null = one pointer test per level.
   Profiler* profile = nullptr;
-  /// Optional thread pool: runs the handshake-matching and contraction
-  /// chunk tasks. The algorithms are selected by graph size only, so a
-  /// null pool executes the identical work inline (bit-identical output).
+  /// Optional thread pool: runs the contraction chunk tasks. Matching is
+  /// one serial greedy pass and never uses it. The contraction algorithm is
+  /// selected by graph size only, so a null pool executes the identical
+  /// work inline (bit-identical output).
   ThreadPool* pool = nullptr;
   /// Scratch leases for parallel contraction chunks (required for the
   /// chunked contraction path to avoid per-chunk map allocations).

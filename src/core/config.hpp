@@ -105,15 +105,15 @@ struct Options {
   /// Worker threads for the task-parallel drivers (>= 1). 1 (the default)
   /// runs fully serial with no pool. Larger values run the two halves of
   /// every recursive-bisection split and the initial-bisection trials
-  /// concurrently, plus the in-node data-parallel phases: handshake
-  /// matching rounds, chunked contraction, and the colored k-way sweep's
-  /// propose phases. Results are identical for every value of num_threads
-  /// at a fixed seed: each subproblem draws from its own deterministic RNG
-  /// stream derived from the seed and the subproblem's position (never a
-  /// shared sequential stream), data-parallel phases decompose work by
-  /// fixed size-based chunk boundaries, and every cross-chunk conflict is
-  /// resolved by a fixed total order (hashed keys / ascending ids), never
-  /// by arrival order.
+  /// concurrently, plus the in-node data-parallel phases: chunked
+  /// contraction and the colored k-way sweep's propose phases. Matching is
+  /// one serial greedy pass at every graph size. Results are identical for
+  /// every value of num_threads at a fixed seed: each subproblem draws from
+  /// its own deterministic RNG stream derived from the seed and the
+  /// subproblem's position (never a shared sequential stream), data-parallel
+  /// phases decompose work by fixed size-based chunk boundaries, and every
+  /// cross-chunk conflict is resolved by a fixed total order (hashed keys /
+  /// ascending ids), never by arrival order.
   int num_threads = 1;
 
   /// Optional trace recorder (see support/trace.hpp). When non-null the

@@ -3,28 +3,15 @@
 #include <algorithm>
 #include <cassert>
 
-#include "support/perf_counters.hpp"
-#include "support/thread_pool.hpp"
 #include "support/trace.hpp"
 
 namespace mcgp {
 
 namespace {
 
-/// Vertex-range chunk for the parallel handshake phases. The boundaries
-/// depend only on nvtxs, so the work decomposition — and with it every
-/// result — is independent of the pool's thread count.
-constexpr idx_t kMatchChunk = 8192;
-
-/// Handshake rounds before falling back to the serial cleanup. Random
-/// graphs converge in a handful of rounds; the cap bounds adversarial
-/// cases without affecting determinism (cleanup matches whatever is left).
-constexpr int kMaxHandshakeRounds = 48;
-
-/// Serial greedy matching over `order`; skips already-matched vertices,
-/// leaves unmatched-but-visited vertices self-matched. This is both the
-/// small-graph path (order = random permutation of all vertices) and the
-/// handshake cleanup (order = ascending unmatched vertices).
+/// Serial greedy matching: visits `order` (a random permutation of all
+/// vertices) once, skips vertices an earlier visit already took as a
+/// partner, and leaves a vertex whose neighbors are all taken self-matched.
 void greedy_pass(const Graph& g, MatchScheme scheme, Rng& rng,
                  std::vector<idx_t>& match, const std::vector<idx_t>& order) {
   for (const idx_t v : order) {
@@ -85,140 +72,6 @@ void greedy_pass(const Graph& g, MatchScheme scheme, Rng& rng,
   }
 }
 
-/// Pick v's handshake proposal from the frozen match state. Pure function
-/// of (g, match, v, round_seed): no shared mutable state, so chunks can
-/// evaluate it concurrently and the result is chunking-independent. Ties
-/// are broken by the hashed key mix_seed(mix_seed(round_seed, v), u) — a
-/// fixed total order per round, never arrival order — which doubles as
-/// the "random" choice for MatchScheme::kRandom.
-idx_t handshake_propose(const Graph& g, MatchScheme scheme,
-                        const std::vector<idx_t>& match, idx_t v,
-                        std::uint64_t round_seed) {
-  const std::uint64_t vseed =
-      mix_seed(round_seed, static_cast<std::uint64_t>(v));
-  idx_t best = -1;
-  wgt_t best_w = -1;
-  real_t best_score = 1e300;
-  std::uint64_t best_key = ~0ULL;
-  for (idx_t e = g.xadj[to_size(v)]; e < g.xadj[to_size(v + 1)]; ++e) {
-    const idx_t u = g.adjncy[to_size(e)];
-    if (match[to_size(u)] >= 0) continue;
-    const std::uint64_t key = mix_seed(vseed, static_cast<std::uint64_t>(u));
-    switch (scheme) {
-      case MatchScheme::kRandom:
-        if (key < best_key) {
-          best_key = key;
-          best = u;
-        }
-        break;
-      case MatchScheme::kHeavyEdge: {
-        const wgt_t w = g.adjwgt[to_size(e)];
-        if (w > best_w || (w == best_w && key < best_key)) {
-          best_w = w;
-          best_key = key;
-          best = u;
-        }
-        break;
-      }
-      case MatchScheme::kHeavyEdgeBalanced: {
-        const wgt_t w = g.adjwgt[to_size(e)];
-        if (w < best_w) break;
-        const real_t score = balanced_edge_score(g, v, u);
-        if (w > best_w || score < best_score ||
-            (score == best_score && key < best_key)) {
-          best_w = w;
-          best_score = score;
-          best_key = key;
-          best = u;
-        }
-        break;
-      }
-    }
-  }
-  return best;
-}
-
-/// Deterministic handshake matching: rounds of (parallel propose from the
-/// frozen state, accept mutual proposals), then a serial greedy cleanup in
-/// ascending vertex order for maximality. Every phase's output depends
-/// only on the graph, the scheme, and the seed — never on thread count or
-/// scheduling — so partitions are bit-identical across `num_threads`.
-void handshake_match(const Graph& g, MatchScheme scheme, Rng& rng,
-                     std::vector<idx_t>& match, Workspace* ws,
-                     const MatchingExec* exec) {
-  const idx_t n = g.nvtxs;
-  ThreadPool* pool = exec != nullptr ? exec->pool : nullptr;
-  Profiler* profile = exec != nullptr ? exec->profile : nullptr;
-  const int level = exec != nullptr ? exec->level : -1;
-
-  std::vector<idx_t> local_proposal;
-  std::vector<idx_t>& proposal = ws != nullptr ? ws->proposal : local_proposal;
-  proposal.assign(to_size(n), -1);
-
-  // One draw per call: the per-round seeds derive from it by position, so
-  // the stream is identical no matter how the rounds' chunks execute.
-  const std::uint64_t mseed = rng.next_u64();
-
-  const idx_t nchunks = (n + kMatchChunk - 1) / kMatchChunk;
-  std::vector<idx_t> chunk_new(to_size(nchunks), 0);
-
-  idx_t unmatched = n;
-  for (int round = 0; round < kMaxHandshakeRounds; ++round) {
-    // Few enough stragglers that rounds stop paying for their sweeps; the
-    // serial cleanup finishes them at small-graph cost.
-    if (unmatched < kHandshakeMinVtxs) break;
-    const std::uint64_t round_seed =
-        mix_seed(mseed, static_cast<std::uint64_t>(round));
-
-    // Propose: reads only the frozen `match`, writes only proposal[v].
-    parallel_chunks(pool, n, kMatchChunk, [&](idx_t b, idx_t e) {
-      ProfScope aux(profile, "coarsen.matching", level, /*aux=*/true);
-      for (idx_t v = b; v < e; ++v) {
-        proposal[to_size(v)] =
-            match[to_size(v)] >= 0
-                ? idx_t{-1}
-                : handshake_propose(g, scheme, match, v, round_seed);
-      }
-    });
-
-    // Accept: v and u marry iff they proposed to each other. Each vertex
-    // writes only match[v] (its partner writes match[u]), so the writes
-    // are disjoint and the outcome is chunking-independent.
-    std::fill(chunk_new.begin(), chunk_new.end(), 0);
-    parallel_chunks(pool, n, kMatchChunk, [&](idx_t b, idx_t e) {
-      ProfScope aux(profile, "coarsen.matching", level, /*aux=*/true);
-      idx_t matched = 0;
-      for (idx_t v = b; v < e; ++v) {
-        const idx_t u = proposal[to_size(v)];
-        if (u >= 0 && proposal[to_size(u)] == v) {
-          match[to_size(v)] = u;
-          ++matched;
-        }
-      }
-      chunk_new[to_size(b / kMatchChunk)] = matched;
-    });
-
-    idx_t newly = 0;
-    for (const idx_t c : chunk_new) newly += c;
-    unmatched -= newly;
-    // No mutual proposal anywhere: further rounds are identical no-ops
-    // (same frozen state, new seeds only reshuffle rejected proposals for
-    // isolated-in-the-unmatched-subgraph vertices). Hand off to cleanup.
-    if (newly == 0) break;
-  }
-
-  // Maximality cleanup: greedy over the leftovers in ascending id order.
-  // Serial and state-dependent, but the state it sees is already
-  // thread-count-independent.
-  std::vector<idx_t> local_order;
-  std::vector<idx_t>& order = ws != nullptr ? ws->perm : local_order;
-  order.clear();
-  for (idx_t v = 0; v < n; ++v) {
-    if (match[to_size(v)] < 0) order.push_back(v);
-  }
-  greedy_pass(g, scheme, rng, match, order);
-}
-
 }  // namespace
 
 real_t balanced_edge_score(const Graph& g, idx_t v, idx_t u) {
@@ -245,17 +98,13 @@ std::vector<idx_t> compute_matching(const Graph& g, MatchScheme scheme,
 
 void compute_matching_into(const Graph& g, MatchScheme scheme, Rng& rng,
                            std::vector<idx_t>& match, TraceRecorder* trace,
-                           Workspace* ws, const MatchingExec* exec) {
+                           Workspace* ws, const MatchingExec* /*exec*/) {
   match.assign(to_size(g.nvtxs), -1);
 
-  if (g.nvtxs >= kHandshakeMinVtxs) {
-    handshake_match(g, scheme, rng, match, ws, exec);
-  } else {
-    std::vector<idx_t> local_perm;
-    std::vector<idx_t>& perm = ws != nullptr ? ws->perm : local_perm;
-    random_permutation(g.nvtxs, perm, rng);
-    greedy_pass(g, scheme, rng, match, perm);
-  }
+  std::vector<idx_t> local_perm;
+  std::vector<idx_t>& perm = ws != nullptr ? ws->perm : local_perm;
+  random_permutation(g.nvtxs, perm, rng);
+  greedy_pass(g, scheme, rng, match, perm);
 
   if (trace != nullptr) {
     idx_t pairs = 0, failed = 0;

@@ -21,16 +21,14 @@ namespace mcgp {
 class ThreadPool;
 class Profiler;
 
-/// Execution context for parallel matching: where to run the handshake
-/// rounds' chunk tasks and how to attribute their on-CPU time. All fields
-/// optional; a null exec (or null pool) runs the identical algorithm
-/// inline — the ALGORITHM is selected by graph size alone, never by the
-/// pool or thread count, so partitions stay bit-identical across
-/// `num_threads`.
+/// Accepted and unused: matching is one serial greedy pass at every graph
+/// size, so there is nothing to run on a pool. Kept only so existing
+/// callers that build one and pass it to compute_matching_into still
+/// compile; the result never depends on its fields.
 struct MatchingExec {
-  ThreadPool* pool = nullptr;
-  Profiler* profile = nullptr;  ///< aux attribution of worker chunks
-  int level = -1;               ///< hierarchy level for the profile bucket
+  ThreadPool* pool = nullptr;    ///< unused
+  Profiler* profile = nullptr;  ///< unused
+  int level = -1;               ///< unused
 };
 
 /// Compute a matching. match[v] == partner of v, or v itself if unmatched.
@@ -39,25 +37,18 @@ struct MatchingExec {
 /// `match.pairs` / `match.failed` counters (failed = vertices left
 /// unmatched although they had neighbors).
 ///
-/// Small graphs use a serial greedy visitor in random order; graphs of at
-/// least kHandshakeMinVtxs vertices use deterministic handshake rounds
-/// (parallel propose over vertex ranges from a frozen state, mutual
-/// proposals accepted — conflicts resolved by hashed per-round keys, a
-/// fixed total order, never arrival order) followed by a serial greedy
-/// cleanup that restores maximality.
+/// One serial greedy pass at every graph size: the vertices are visited in
+/// random_permutation order and each unmatched vertex takes its best
+/// unmatched neighbor under `scheme` (the heavy-edge schemes break
+/// remaining ties toward the first such neighbor in adjacency order). The
+/// result depends only on the graph, the scheme and the Rng state, never
+/// on a thread count.
 std::vector<idx_t> compute_matching(const Graph& g, MatchScheme scheme,
                                     Rng& rng, TraceRecorder* trace = nullptr);
 
-/// Vertex count at or above which compute_matching switches from the
-/// serial greedy visitor to handshake rounds (whose propose phases can
-/// run on a pool). Size-based only: the same graph takes the same path at
-/// every thread count.
-inline constexpr idx_t kHandshakeMinVtxs = 8192;
-
 /// As compute_matching, but fills a caller-owned `match` vector and, when
-/// `ws` is non-null, reuses ws->perm / ws->proposal so repeated coarsening
-/// levels allocate nothing. A non-null `exec` lets the handshake propose
-/// and accept phases run as chunk tasks on exec->pool.
+/// `ws` is non-null, reuses ws->perm so repeated coarsening levels
+/// allocate nothing. `exec` is accepted and ignored (see MatchingExec).
 void compute_matching_into(const Graph& g, MatchScheme scheme, Rng& rng,
                            std::vector<idx_t>& match,
                            TraceRecorder* trace = nullptr,

@@ -60,13 +60,31 @@ bool find_peak(const Graph& g, const KWayContext& ctx, idx_t nparts,
   return q >= 0;
 }
 
+/// The lightest part other than q (smallest id on near-ties).
+idx_t lightest_part(const KWayContext& ctx, idx_t nparts, idx_t q) {
+  idx_t lightest = -1;
+  real_t lightest_load = 1e300;
+  for (idx_t p = 0; p < nparts; ++p) {
+    if (p == q) continue;
+    const real_t l = ctx.part_load(p);
+    if (l < lightest_load - kEps ||
+        (l <= lightest_load + kEps && (lightest < 0 || p < lightest))) {
+      lightest_load = l;
+      lightest = p;
+    }
+  }
+  return lightest;
+}
+
 /// Best destination for moving v out of q: a part where v outright fits,
 /// or failing that one whose post-move load stays strictly below the
-/// current global peak (potential-reducing). Among admissible parts:
-/// fits > cut gain > lower post-move load > smaller id. Returns -1 when
-/// no part is admissible.
-idx_t pick_destination(const KWayContext& ctx, idx_t nparts, idx_t v,
-                       idx_t q, sum_t idw, real_t peak) {
+/// current global peak (potential-reducing). Candidates are the parts v
+/// has edges into plus `lightest` (lightest_part), which is a candidate
+/// even when v has no edge into it — relief matters more than locality
+/// once we are here. Among admissible parts: fits > cut gain > lower
+/// post-move load > smaller id. Returns -1 when no part is admissible.
+idx_t pick_destination(const KWayContext& ctx, idx_t v, idx_t q, sum_t idw,
+                       real_t peak, idx_t lightest) {
   idx_t best = -1;
   bool best_fits = false;
   sum_t best_gain = 0;
@@ -92,19 +110,6 @@ idx_t pick_destination(const KWayContext& ctx, idx_t nparts, idx_t v,
     }
   };
   for (const idx_t p : ctx.touched()) consider(p);
-  // The globally lightest part is always a candidate even when v has no
-  // edge into it — relief matters more than locality once we are here.
-  idx_t lightest = -1;
-  real_t lightest_load = 1e300;
-  for (idx_t p = 0; p < nparts; ++p) {
-    if (p == q) continue;
-    const real_t l = ctx.part_load(p);
-    if (l < lightest_load - kEps ||
-        (l <= lightest_load + kEps && (lightest < 0 || p < lightest))) {
-      lightest_load = l;
-      lightest = p;
-    }
-  }
   consider(lightest);
   return best;
 }
@@ -172,6 +177,12 @@ DrainStats greedy_episodes(KWayContext& ctx) {
       heap.insert(v, relief_key(g, ctx, v, c));
     }
 
+    // The peak and the lightest part depend on the part weights only, so
+    // they are recomputed after a move, not for every popped vertex (most
+    // pops find no admissible destination and move nothing).
+    bool loads_changed = true;
+    real_t peak = 0.0;
+    idx_t lightest = -1;
     idx_t ep_moves = 0;
     while (!heap.empty()) {
       if (ctx.overload(q, c) <= 1.0 + kEps) break;
@@ -189,10 +200,15 @@ DrainStats greedy_episodes(KWayContext& ctx) {
         continue;
       }
       const sum_t idw = ctx.gather_connectivity(v);
-      const real_t peak = ctx.max_overload();
-      const idx_t dest = pick_destination(ctx, nparts, v, q, idw, peak);
+      if (loads_changed) {
+        peak = ctx.max_overload();
+        lightest = lightest_part(ctx, nparts, q);
+        loads_changed = false;
+      }
+      const idx_t dest = pick_destination(ctx, v, q, idw, peak, lightest);
       if (dest < 0) continue;
       ctx.move(v, dest);
+      loads_changed = true;
       ++ep_moves;
     }
 
@@ -302,24 +318,8 @@ sum_t swap_escape(const Graph& g, KWayContext& ctx, idx_t nparts,
 }
 
 /// Change in the total relative overload sum_i max(0, load - 1) over both
-/// touched parts if v moved q -> p. Negative = net relief. This is the
-/// joint multi-constraint potential: the peak-chasing episodes above can
-/// deadlock when every destination is itself near the peak in SOME
-/// constraint, while the summed overload can still descend.
-real_t move_delta(const Graph& g, const KWayContext& ctx, idx_t v, idx_t q,
-                  idx_t p) {
-  real_t d = 0.0;
-  const wgt_t* w = g.weights(v);
-  for (int i = 0; i < g.ncon; ++i) {
-    d += std::max(0.0, ctx.load_with(q, i, checked_narrow<wgt_t>(-static_cast<sum_t>(w[i]))) - 1.0) -
-         std::max(0.0, ctx.overload(q, i) - 1.0) +
-         std::max(0.0, ctx.load_with(p, i, w[i]) - 1.0) -
-         std::max(0.0, ctx.overload(p, i) - 1.0);
-  }
-  return d;
-}
-
-/// As move_delta, for exchanging v (in q) with u (in p).
+/// touched parts if v (in q) and u (in p) exchanged parts. Negative = net
+/// relief.
 real_t swap_delta(const Graph& g, const KWayContext& ctx, idx_t v, idx_t q,
                   idx_t u, idx_t p) {
   real_t d = 0.0;
@@ -337,17 +337,34 @@ real_t swap_delta(const Graph& g, const KWayContext& ctx, idx_t v, idx_t q,
 
 constexpr real_t kDescentMin = 1e-9;  ///< smallest accepted strict decrease
 
-/// Best-improvement single-move descent on the summed relative overload:
-/// rounds over vertices in ascending id; each vertex of an overloaded part
-/// takes the destination with the most negative delta (smallest id on
-/// ties, by scan order). Every committed move strictly decreases the
-/// potential, so the loop cannot cycle; the move cap bounds it anyway.
+/// Best-improvement single-move descent on the summed relative overload
+/// sum_i max(0, load - 1), the joint multi-constraint potential: the
+/// peak-chasing episodes above can deadlock when every destination is
+/// itself near the peak in SOME constraint, while the summed overload can
+/// still descend. Rounds over vertices in ascending id; each vertex of an
+/// overloaded part takes the destination with the most negative delta
+/// (smallest id on ties, by scan order). Every committed move strictly
+/// decreases the potential, so the loop cannot cycle; the move cap bounds
+/// it anyway.
 sum_t overload_descent(const Graph& g, KWayContext& ctx, idx_t nparts,
                        const std::vector<idx_t>& where) {
   sum_t moves = 0;
   const sum_t move_cap =
       checked_mul(static_cast<sum_t>(8),
                   static_cast<sum_t>(std::max<idx_t>(g.nvtxs, 1)));
+  // max(0, load - 1) per (part, constraint), refreshed for the two parts a
+  // move touches, and the source-side terms of v, taken once per vertex
+  // rather than once per destination.
+  const std::size_t ncon = to_size(g.ncon);
+  std::vector<real_t> excess(to_size(nparts) * ncon);
+  auto refresh = [&](idx_t p) {
+    for (int i = 0; i < g.ncon; ++i) {
+      excess[to_size(p) * ncon + to_size(i)] =
+          std::max(0.0, ctx.overload(p, i) - 1.0);
+    }
+  };
+  for (idx_t p = 0; p < nparts; ++p) refresh(p);
+  std::vector<real_t> q_after(ncon);
   bool changed = true;
   while (changed && moves < move_cap) {
     changed = false;
@@ -358,11 +375,24 @@ sum_t overload_descent(const Graph& g, KWayContext& ctx, idx_t nparts,
         if (ctx.overload(q, i) > 1.0 + kEps) over = true;
       }
       if (!over || !ctx.can_leave(q)) continue;
+      const wgt_t* w = g.weights(v);
+      for (int i = 0; i < g.ncon; ++i) {
+        q_after[to_size(i)] = std::max(
+            0.0, ctx.load_with(q, i, checked_narrow<wgt_t>(
+                                         -static_cast<sum_t>(w[i]))) -
+                     1.0);
+      }
+      const real_t* q_excess = &excess[to_size(q) * ncon];
       idx_t best = -1;
       real_t best_d = -kDescentMin;
       for (idx_t p = 0; p < nparts; ++p) {
         if (p == q) continue;
-        const real_t d = move_delta(g, ctx, v, q, p);
+        const real_t* p_excess = &excess[to_size(p) * ncon];
+        real_t d = 0.0;  // the move's change in the potential
+        for (int i = 0; i < g.ncon; ++i) {
+          d += q_after[to_size(i)] - q_excess[i] +
+               std::max(0.0, ctx.load_with(p, i, w[i]) - 1.0) - p_excess[i];
+        }
         if (d < best_d - kEps) {
           best_d = d;
           best = p;
@@ -370,6 +400,8 @@ sum_t overload_descent(const Graph& g, KWayContext& ctx, idx_t nparts,
       }
       if (best >= 0) {
         ctx.move(v, best);
+        refresh(q);
+        refresh(best);
         moves = checked_add(moves, 1);
         changed = true;
       }

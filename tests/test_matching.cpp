@@ -78,28 +78,39 @@ TEST_P(MatchingSchemes, IsolatedVerticesStayUnmatched) {
   for (idx_t v = 2; v < 5; ++v) EXPECT_EQ(match[to_size(v)], v);
 }
 
-// Above kHandshakeMinVtxs the handshake-round path engages; it must still
-// produce a valid MAXIMAL matching (the serial cleanup guarantees no two
-// unmatched neighbors remain).
-TEST_P(MatchingSchemes, HandshakePathValidAndMaximal) {
-  Graph g = grid2d(96, 96);  // 9216 vertices >= kHandshakeMinVtxs
-  ASSERT_GE(g.nvtxs, kHandshakeMinVtxs);
-  Rng rng(11);
-  const auto match = compute_matching(g, GetParam(), rng);
-  EXPECT_TRUE(is_valid_matching(g, match));
+// rb-fe-m3's input shape: a 20000-vertex graded FE mesh with Type-P
+// weights (m=3), whose edge weights make the heavy-edge keys non-trivial.
+Graph fe_mesh_type_p() {
+  Graph g = fe_mesh(20000, 3);
+  apply_type_p_weights(g, 3, 32, 4);
+  return g;
+}
+
+bool is_maximal_matching(const Graph& g, const std::vector<idx_t>& match) {
   for (idx_t v = 0; v < g.nvtxs; ++v) {
     if (match[to_size(v)] != v) continue;
     for (idx_t e = g.xadj[to_size(v)]; e < g.xadj[to_size(v + 1)]; ++e) {
-      EXPECT_NE(match[to_size(g.adjncy[to_size(e)])],
-                g.adjncy[to_size(e)])
-          << "unmatched neighbors " << v << " and " << g.adjncy[to_size(e)];
+      const idx_t u = g.adjncy[to_size(e)];
+      if (match[to_size(u)] == u) return false;  // two unmatched neighbors
     }
+  }
+  return true;
+}
+
+// Large graphs take the same greedy pass as small ones; the matching must
+// be valid and MAXIMAL (no two unmatched neighbors remain).
+TEST_P(MatchingSchemes, LargeGraphValidAndMaximal) {
+  for (const Graph& g : {grid2d(96, 96), fe_mesh_type_p()}) {
+    Rng rng(11);
+    const auto match = compute_matching(g, GetParam(), rng);
+    EXPECT_TRUE(is_valid_matching(g, match)) << "nvtxs=" << g.nvtxs;
+    EXPECT_TRUE(is_maximal_matching(g, match)) << "nvtxs=" << g.nvtxs;
   }
 }
 
-// The handshake propose/accept phases are chunk tasks; running them on a
-// pool must yield the bit-identical matching the inline execution does.
-TEST_P(MatchingSchemes, PooledHandshakeBitIdenticalToInline) {
+// MatchingExec is accepted for source compatibility only: passing a
+// 4-thread pool must change neither the matching nor the caller's Rng.
+TEST_P(MatchingSchemes, ExecDoesNotChangeMatching) {
   Graph g = grid2d(96, 96);
   apply_type_s_weights(g, 2, 8, 0, 9, 5);
   Rng a(5), b(5);
@@ -112,12 +123,70 @@ TEST_P(MatchingSchemes, PooledHandshakeBitIdenticalToInline) {
   Workspace ws;
   compute_matching_into(g, GetParam(), b, pooled_match, nullptr, &ws, &exec);
   EXPECT_EQ(pooled_match, inline_match);
+  EXPECT_EQ(a.next_u64(), b.next_u64());
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSchemes, MatchingSchemes,
                          testing::Values(MatchScheme::kRandom,
                                          MatchScheme::kHeavyEdge,
                                          MatchScheme::kHeavyEdgeBalanced));
+
+// Test-local reference of the SC'98 visitor: vertices in
+// random_permutation(n, Rng(seed)) order, each unmatched vertex takes the
+// heaviest unmatched neighbor (kHeavyEdgeBalanced: then the lowest
+// balanced_edge_score), remaining ties to the first in adjacency order.
+std::vector<idx_t> reference_greedy(const Graph& g, MatchScheme scheme,
+                                    std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<idx_t> order;
+  random_permutation(g.nvtxs, order, rng);
+  std::vector<idx_t> match(to_size(g.nvtxs), -1);
+  for (const idx_t v : order) {
+    if (match[to_size(v)] >= 0) continue;
+    idx_t best = v;
+    wgt_t best_w = 0;
+    real_t best_score = 0.0;
+    for (idx_t e = g.xadj[to_size(v)]; e < g.xadj[to_size(v + 1)]; ++e) {
+      const idx_t u = g.adjncy[to_size(e)];
+      if (match[to_size(u)] >= 0) continue;
+      const wgt_t w = g.adjwgt[to_size(e)];
+      const real_t score = scheme == MatchScheme::kHeavyEdgeBalanced
+                               ? balanced_edge_score(g, v, u)
+                               : 0.0;
+      if (best == v || w > best_w || (w == best_w && score < best_score)) {
+        best = u;
+        best_w = w;
+        best_score = score;
+      }
+    }
+    match[to_size(v)] = best;
+    match[to_size(best)] = v;
+  }
+  return match;
+}
+
+// One greedy pass at every graph size: small and large inputs alike must
+// reproduce the reference visitor exactly.
+TEST(MatchingSchemes, GreedyVisitAtEverySize) {
+  const Graph grid = [] {
+    Graph g = grid2d(20, 20);
+    apply_type_s_weights(g, 3, 8, 0, 9, 5);
+    return g;
+  }();
+  const Graph mesh = fe_mesh_type_p();
+  for (const Graph* g : {&grid, &mesh}) {
+    for (const MatchScheme scheme :
+         {MatchScheme::kHeavyEdge, MatchScheme::kHeavyEdgeBalanced}) {
+      for (const std::uint64_t seed : {1ULL, 2ULL}) {
+        Rng rng(seed);
+        EXPECT_EQ(compute_matching(*g, scheme, rng),
+                  reference_greedy(*g, scheme, seed))
+            << "nvtxs=" << g->nvtxs << " scheme=" << static_cast<int>(scheme)
+            << " seed=" << seed;
+      }
+    }
+  }
+}
 
 TEST(HeavyEdgeMatching, PrefersHeavyEdges) {
   // Triangle with one heavy edge. HEM is visit-order dependent (when

@@ -86,12 +86,11 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // The in-node data-parallel phases only engage above their size
-// thresholds (handshake matching needs >= kHandshakeMinVtxs vertices,
-// chunked contraction a coarse graph bigger than its chunk), so the
-// bit-identity contract needs a graph big enough to cross them: a 101x101
-// triangulated grid (10201 vertices) coarsens through several levels with
-// the handshake + chunked paths active. MC-KW additionally drives the
-// colored sweep on every level. Runs fully observed — boundary audits,
+// thresholds (chunked contraction needs a coarse graph bigger than its
+// chunk), so the bit-identity contract needs a graph big enough to cross
+// them: a 101x101 triangulated grid (10201 vertices) coarsens through
+// several levels with the chunked path active. MC-KW additionally drives
+// the colored sweep on every level. Matching is serial at every size. Runs fully observed — boundary audits,
 // trace, flight recorder, and profiler attached — because observers must
 // never perturb the partition either.
 TEST(ParallelDeterminismLarge, KWayParallelPhasesBitIdenticalUnderObservers) {
