@@ -171,17 +171,22 @@ void BM_InducedSubgraph(benchmark::State& state) {
 }
 BENCHMARK(BM_InducedSubgraph)->Args({400, 0})->Args({400, 1});
 
+// Up to 4 FM passes from a jagged bisection. range(0) = grid side, or 0
+// for the FE mesh; range(1) = m.
 void BM_Refine2Way(benchmark::State& state) {
   const idx_t side = static_cast<idx_t>(state.range(0));
   const int m = static_cast<int>(state.range(1));
-  const Graph g = make_bench_graph(side, m);
+  const Graph g = side > 0 ? make_bench_graph(side, m) : make_fe_mesh_graph(m);
   BisectionTargets t;
   t.f0 = 0.5;
   t.ub.assign(to_size(m), 1.05);
-  // Jagged start so the refiner has real work every iteration.
+  // Jagged start so the refiner has real work every iteration: diagonal
+  // stripes on the grid, runs of 16 consecutive ids on the mesh.
   std::vector<idx_t> start(to_size(g.nvtxs));
   for (idx_t v = 0; v < g.nvtxs; ++v) {
-    start[to_size(v)] = ((v / side) + 2 * (v % side)) % 4 < 2 ? 0 : 1;
+    start[to_size(v)] = side > 0
+                            ? (((v / side) + 2 * (v % side)) % 4 < 2 ? 0 : 1)
+                            : (v / 16) % 2;
   }
   Rng rng(1);
   for (auto _ : state) {
@@ -192,7 +197,7 @@ void BM_Refine2Way(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * g.nvtxs);
 }
-BENCHMARK(BM_Refine2Way)->Args({200, 1})->Args({200, 3});
+BENCHMARK(BM_Refine2Way)->Args({200, 1})->Args({200, 3})->Args({0, 3});
 
 void BM_KWayRefine(benchmark::State& state) {
   const idx_t side = static_cast<idx_t>(state.range(0));

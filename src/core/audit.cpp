@@ -28,6 +28,33 @@ sum_t audited_cut(const InvariantAuditor* aud, const Graph& g,
   return directed / 2;
 }
 
+/// Maintained per-vertex internal/external weighted degrees (id[v]: weight
+/// of v's edges inside its part, ed[v]: to other parts) equal a recompute.
+void audit_degrees(const InvariantAuditor* aud, const Graph& g,
+                   const std::vector<idx_t>& where,
+                   const std::vector<sum_t>& id, const std::vector<sum_t>& ed,
+                   const char* site) {
+  MCGP_AUDIT_MSG(aud,
+                 id.size() == to_size(g.nvtxs) && ed.size() == to_size(g.nvtxs),
+                 site, ": degree cache must hold id and ed for all ",
+                 g.nvtxs, " vertices");
+  for (idx_t v = 0; v < g.nvtxs; ++v) {
+    sum_t idw = 0, edw = 0;
+    const idx_t pv = where[to_size(v)];
+    for (idx_t e = g.xadj[to_size(v)]; e < g.xadj[to_size(v + 1)]; ++e) {
+      if (where[to_size(g.adjncy[to_size(e)])] == pv) {
+        idw = checked_add(idw, g.adjwgt[to_size(e)]);
+      } else {
+        edw = checked_add(edw, g.adjwgt[to_size(e)]);
+      }
+    }
+    MCGP_AUDIT_MSG(aud, id[to_size(v)] == idw && ed[to_size(v)] == edw, site,
+                   ": vertex ", v, " degree cache says id=", id[to_size(v)],
+                   " ed=", ed[to_size(v)], ", recompute says id=", idw,
+                   " ed=", edw);
+  }
+}
+
 }  // namespace
 
 bool parse_audit_level(const std::string& s, AuditLevel& out) {
@@ -231,6 +258,17 @@ void InvariantAuditor::check_bisection_cut(const Graph& g,
   bump(AuditCheck::kBisectionState);
 }
 
+void InvariantAuditor::check_bisection_degrees(const Graph& g,
+                                               const std::vector<idx_t>& where,
+                                               const std::vector<sum_t>& id,
+                                               const std::vector<sum_t>& ed,
+                                               const char* site) {
+  MCGP_AUDIT_MSG(this, where.size() == to_size(g.nvtxs),
+                 site, ": where size ", where.size(), " != nvtxs ", g.nvtxs);
+  audit_degrees(this, g, where, id, ed, site);
+  bump(AuditCheck::kBisectionState);
+}
+
 void InvariantAuditor::check_kway_state(const Graph& g,
                                         const std::vector<idx_t>& where,
                                         idx_t nparts,
@@ -276,28 +314,9 @@ void InvariantAuditor::check_kway_state(const Graph& g,
     }
   }
   if (id != nullptr || ed != nullptr) {
-    MCGP_AUDIT_MSG(this,
-                   id != nullptr && ed != nullptr &&
-                       id->size() == to_size(g.nvtxs) &&
-                       ed->size() == to_size(g.nvtxs),
-                   site, ": degree cache must hold id and ed for all ",
-                   g.nvtxs, " vertices");
-    for (idx_t v = 0; v < g.nvtxs; ++v) {
-      sum_t idw = 0, edw = 0;
-      const idx_t pv = where[to_size(v)];
-      for (idx_t e = g.xadj[to_size(v)]; e < g.xadj[to_size(v + 1)]; ++e) {
-        if (where[to_size(g.adjncy[to_size(e)])] == pv) {
-          idw = checked_add(idw, g.adjwgt[to_size(e)]);
-        } else {
-          edw = checked_add(edw, g.adjwgt[to_size(e)]);
-        }
-      }
-      MCGP_AUDIT_MSG(this,
-                     (*id)[to_size(v)] == idw && (*ed)[to_size(v)] == edw,
-                     site, ": vertex ", v, " degree cache says id=",
-                     (*id)[to_size(v)], " ed=", (*ed)[to_size(v)],
-                     ", recompute says id=", idw, " ed=", edw);
-    }
+    MCGP_AUDIT_MSG(this, id != nullptr && ed != nullptr, site,
+                   ": degree cache must hold both id and ed");
+    audit_degrees(this, g, where, *id, *ed, site);
   }
   bump(AuditCheck::kKWayState);
 }

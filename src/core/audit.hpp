@@ -39,7 +39,7 @@ namespace mcgp {
 enum class AuditCheck {
   kCoarseLevel = 0,   ///< contraction conservation + cmap sanity
   kProjection,        ///< projected partition reproduces the coarse cut
-  kBisectionState,    ///< 2-way pwgts/cut bookkeeping vs recompute
+  kBisectionState,    ///< 2-way pwgts/cut/id/ed bookkeeping vs recompute
   kKWayState,         ///< k-way pwgts/vcount/id/ed bookkeeping vs recompute
   kGainSample,        ///< sampled FM gain vs recomputed gain
   kCutDelta,          ///< accumulated move gains vs actual cut change
@@ -130,6 +130,12 @@ class InvariantAuditor {
   /// a fresh recompute.
   void check_bisection_cut(const Graph& g, const std::vector<idx_t>& where,
                            sum_t claimed_cut, const char* site);
+
+  /// 2-way degree bookkeeping: the per-vertex internal/external weighted
+  /// degrees FM keeps across its passes equal a fresh recompute.
+  void check_bisection_degrees(const Graph& g, const std::vector<idx_t>& where,
+                               const std::vector<sum_t>& id,
+                               const std::vector<sum_t>& ed, const char* site);
 
   /// k-way bookkeeping: part ids in range, incrementally maintained
   /// pwgts[p*ncon+i] equal a fresh recompute, and (when non-null) the

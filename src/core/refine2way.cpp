@@ -32,8 +32,12 @@ namespace {
 /// pass (see the exploration-envelope note in FmPass::run).
 constexpr real_t kBalanceExploreSlack = 0.10;
 
-/// One FM pass worth of state. Queues are indexed [side][constraint]
-/// (policy kSingleQueue uses constraint slot 0 only).
+/// The FM state of one refine_2way call (one level), reused by every pass.
+/// Queues are indexed [side][constraint] (policy kSingleQueue uses
+/// constraint slot 0 only). Between passes the degrees, balance and cut
+/// stay exact (rollback undoes its moves in full), the queues are empty
+/// and no vertex is marked moved, so a pass sees exactly the state a
+/// from-scratch rebuild would give it.
 class FmPass {
  public:
   FmPass(const Graph& g, std::vector<idx_t>& where,
@@ -41,8 +45,8 @@ class FmPass {
       : g_(g), where_(where), policy_(policy), rng_(rng) {
     balance_.init(g, where, targets);
     const auto n = to_size(g.nvtxs);
-    id_.assign(n, 0);
-    ed_.assign(n, 0);
+    id_.resize(n);
+    ed_.resize(n);
     moved_.assign(n, 0);
     dom_.resize(n);
     for (idx_t v = 0; v < g.nvtxs; ++v) {
@@ -54,7 +58,11 @@ class FmPass {
       for (int c = 0; c < nq; ++c) queues_[to_size(s)][to_size(c)].reset(g.nvtxs);
     }
     nqueues_ = nq;
+    compute_degrees();
   }
+
+  /// Cut of `where` as the constructor found it.
+  sum_t initial_cut() const { return initial_cut_; }
 
   /// Run one pass; returns true if it improved (cut or balance).
   bool run(sum_t& cut, idx_t move_limit, Refine2WayStats* stats,
@@ -68,10 +76,14 @@ class FmPass {
     sum_t cut_delta;
   };
 
-  void compute_degrees_and_seed_queues(sum_t& cut);
+  void compute_degrees();
+  void seed_queues();
   bool select(idx_t& v, int& from);
+  template <typename Visit>
+  void flip(idx_t v, int to, const Visit& visit);
   void commit_move(idx_t v, int from, sum_t& cut);
   void rollback_to(std::size_t best_prefix, sum_t& cut);
+  void end_pass();
 
   wgt_t gain(idx_t v) const {
     return checked_narrow<wgt_t>(
@@ -83,12 +95,6 @@ class FmPass {
     queues_[to_size(s)][to_size(dom_[to_size(v)])].insert(v, gain(v));
   }
 
-  void dequeue_if_present(idx_t v) {
-    const int s = where_[to_size(v)];
-    auto& q = queues_[to_size(s)][to_size(dom_[to_size(v)])];
-    if (q.contains(v)) q.remove(v);
-  }
-
   const Graph& g_;
   std::vector<idx_t>& where_;
   QueuePolicy policy_;
@@ -96,15 +102,18 @@ class FmPass {
   BisectionBalance balance_;
 
   std::vector<sum_t> id_, ed_;  // internal/external weighted degree
+  sum_t initial_cut_ = 0;
   std::vector<char> moved_;
+  std::vector<idx_t> popped_;  // vertices marked moved_ this pass
   std::vector<int> dom_;
   std::array<std::array<BucketQueue, kMaxNcon>, 2> queues_;
   int nqueues_ = 1;
   int rr_next_ = 0;  // round-robin cursor (kRoundRobin policy)
   std::vector<MoveRecord> log_;
+  std::vector<idx_t> perm_;
 };
 
-void FmPass::compute_degrees_and_seed_queues(sum_t& cut) {
+void FmPass::compute_degrees() {
   sum_t cut2 = 0;
   for (idx_t v = 0; v < g_.nvtxs; ++v) {
     sum_t idw = 0, edw = 0;
@@ -120,12 +129,16 @@ void FmPass::compute_degrees_and_seed_queues(sum_t& cut) {
     ed_[to_size(v)] = edw;
     cut2 = checked_add(cut2, edw);
   }
-  cut = cut2 / 2;
+  initial_cut_ = cut2 / 2;
+}
+
+void FmPass::seed_queues() {
   // Seed queues with boundary vertices in random order (randomized
   // insertion breaks ties inside equal-gain buckets differently per seed).
-  std::vector<idx_t> perm;
-  random_permutation(g_.nvtxs, perm, rng_);
-  for (const idx_t v : perm) {
+  // Every vertex is drawn, boundary or not, so the RNG stream and the
+  // insertion order do not depend on how the boundary is found.
+  random_permutation(g_.nvtxs, perm_, rng_);
+  for (const idx_t v : perm_) {
     if (ed_[to_size(v)] > 0) enqueue(v);
   }
 }
@@ -194,30 +207,37 @@ bool FmPass::select(idx_t& v, int& from) {
   return true;
 }
 
-void FmPass::commit_move(idx_t v, int from, sum_t& cut) {
-  const int to = 1 - from;
-  const sum_t delta = checked_sub(id_[to_size(v)], ed_[to_size(v)]);
-  cut = checked_add(cut, delta);
-  log_.push_back(MoveRecord{v, from, delta});
-
+/// Move v to side `to` and keep every degree exact: v's internal and
+/// external degrees trade places and each neighbour u shifts the edge
+/// weight between its own. `visit(u)` runs after u's degrees are updated.
+template <typename Visit>
+void FmPass::flip(idx_t v, int to, const Visit& visit) {
   where_[to_size(v)] = to;
-  balance_.apply_move(v, from);
   std::swap(id_[to_size(v)], ed_[to_size(v)]);
-
   for (idx_t e = g_.xadj[to_size(v)]; e < g_.xadj[to_size(v + 1)]; ++e) {
     const idx_t u = g_.adjncy[to_size(e)];
     const wgt_t w = g_.adjwgt[to_size(e)];
-    const bool u_with_v_now = where_[to_size(u)] == to;
-    // v left u's side (u_with_v_now == false) or joined it (true).
     const std::size_t su = to_size(u);
-    if (u_with_v_now) {
+    if (where_[su] == to) {  // v joined u's side, else v left it
       id_[su] = checked_add(id_[su], w);
       ed_[su] = checked_sub(ed_[su], w);
     } else {
       id_[su] = checked_sub(id_[su], w);
       ed_[su] = checked_add(ed_[su], w);
     }
-    if (moved_[su]) continue;
+    visit(u);
+  }
+}
+
+void FmPass::commit_move(idx_t v, int from, sum_t& cut) {
+  const sum_t delta = checked_sub(id_[to_size(v)], ed_[to_size(v)]);
+  cut = checked_add(cut, delta);
+  log_.push_back(MoveRecord{v, from, delta});
+  balance_.apply_move(v, from);
+
+  flip(v, 1 - from, [this](idx_t u) {
+    const std::size_t su = to_size(u);
+    if (moved_[su]) return;
     const int s = where_[su];
     auto& q = queues_[to_size(s)][to_size(dom_[su])];
     if (ed_[su] > 0) {
@@ -229,17 +249,27 @@ void FmPass::commit_move(idx_t v, int from, sum_t& cut) {
     } else if (q.contains(u)) {
       q.remove(u);
     }
-  }
+  });
 }
 
 void FmPass::rollback_to(std::size_t best_prefix, sum_t& cut) {
+  // Undo in reverse order, degrees included: each undone move costs what
+  // committing it did, and the next pass starts from exact degrees.
   while (log_.size() > best_prefix) {
     const MoveRecord r = log_.back();
     log_.pop_back();
-    where_[to_size(r.v)] = r.from;
+    flip(r.v, r.from, [](idx_t) {});
     balance_.apply_move(r.v, 1 - r.from);
     cut = checked_sub(cut, r.cut_delta);
   }
+}
+
+void FmPass::end_pass() {
+  for (int s = 0; s < 2; ++s) {
+    for (int c = 0; c < nqueues_; ++c) queues_[to_size(s)][to_size(c)].clear();
+  }
+  for (const idx_t v : popped_) moved_[to_size(v)] = 0;
+  popped_.clear();
 }
 
 bool FmPass::run(sum_t& cut, idx_t move_limit, Refine2WayStats* stats,
@@ -249,7 +279,8 @@ bool FmPass::run(sum_t& cut, idx_t move_limit, Refine2WayStats* stats,
   Histogram* gain_hist =
       trace != nullptr ? &trace->hist("gain.histogram") : nullptr;
 
-  compute_degrees_and_seed_queues(cut);
+  seed_queues();
+  rr_next_ = 0;
   log_.clear();
 
   const sum_t start_cut = cut;
@@ -277,6 +308,7 @@ bool FmPass::run(sum_t& cut, idx_t move_limit, Refine2WayStats* stats,
   int from;
   while (bad_streak < move_limit && select(v, from)) {
     moved_[to_size(v)] = 1;
+    popped_.push_back(v);
 
     // The popped gain is the incrementally maintained ed - id; a drift in
     // either degree array corrupts every later selection, so paranoid
@@ -317,13 +349,16 @@ bool FmPass::run(sum_t& cut, idx_t move_limit, Refine2WayStats* stats,
 
   const std::size_t total_moves = log_.size();
   rollback_to(best_prefix, cut);
+  end_pass();
   if (stats != nullptr) stats->moves += static_cast<idx_t>(best_prefix);
 
-  // The pass mutated where_/balance_/cut through committed moves and the
-  // rollback; all three must still agree with a from-scratch recompute.
+  // The pass mutated where_/balance_/cut/degrees through committed moves
+  // and the rollback, and the next pass starts from all of them: each must
+  // still agree with a from-scratch recompute.
   if (audit != nullptr && audit->boundaries()) {
     audit->check_bisection_weights(g_, where_, balance_, "refine2way.pass");
     audit->check_bisection_cut(g_, where_, cut, "refine2way.pass");
+    audit->check_bisection_degrees(g_, where_, id_, ed_, "refine2way.pass");
   }
 
   if (span.enabled()) {
@@ -369,11 +404,11 @@ sum_t refine_2way(const Graph& g, std::vector<idx_t>& where,
                   InvariantAuditor* audit, FlightRecorder* flight) {
   if (move_limit <= 0) move_limit = std::max<idx_t>(64, g.nvtxs / 100);
 
-  sum_t cut = compute_cut_2way(g, where);
+  FmPass fm(g, where, targets, policy, rng);
+  sum_t cut = fm.initial_cut();
   if (stats != nullptr) stats->initial_cut = cut;
 
   for (int pass = 0; pass < max_passes; ++pass) {
-    FmPass fm(g, where, targets, policy, rng);
     const bool improved =
         fm.run(cut, move_limit, stats, trace, audit, flight, pass);
     if (stats != nullptr) ++stats->passes;

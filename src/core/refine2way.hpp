@@ -34,9 +34,9 @@ struct Refine2WayStats {
 /// ends worse than it started. A non-null `trace` records one "fm.pass"
 /// span per pass plus the fm.moves / fm.rollbacks counters and the
 /// gain.histogram of committed move gains. A non-null `audit` verifies
-/// the incremental side-weight/cut bookkeeping against fresh recomputes
-/// after every pass (kBoundaries) and cross-checks sampled queue gains
-/// against recomputed gains (kParanoid).
+/// the incremental side-weight/cut/degree bookkeeping against fresh
+/// recomputes after every pass (kBoundaries) and cross-checks sampled
+/// queue gains against recomputed gains (kParanoid).
 /// A non-null `flight` appends one telemetry sample per pass (cut
 /// before/after, committed moves) to its bounded ring.
 sum_t refine_2way(const Graph& g, std::vector<idx_t>& where,

@@ -18,6 +18,18 @@ void BucketQueue::reset(idx_t n, wgt_t expected_max_gain) {
   count_ = 0;
 }
 
+void BucketQueue::clear() {
+  // max_bucket_ bounds every non-empty bucket from above while count_ > 0.
+  for (long long b = max_bucket_; count_ > 0; --b) {
+    for (idx_t id = buckets_[to_size(b)]; id != kNil; id = next_[to_size(id)]) {
+      in_queue_[to_size(id)] = 0;
+      --count_;
+    }
+    buckets_[to_size(b)] = kNil;
+  }
+  max_bucket_ = -1;
+}
+
 void BucketQueue::grow_range(wgt_t gain) {
   // Double the range until `gain` fits, preserving bucket contents.
   long long lo = -offset_;

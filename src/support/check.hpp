@@ -34,12 +34,36 @@ class AuditFailure : public std::logic_error {
   using std::logic_error::logic_error;
 };
 
+namespace detail {
+
+/// The checked operation that failed.
+enum class CheckedOp { kAdd, kSub, kMul, kNarrow };
+
+/// Throw the AuditFailure of a failed checked operation (for kNarrow, `a`
+/// is the value that did not fit and `b` is unused). Out of line and cold:
+/// building the message is far too large to inline, so keeping it here
+/// leaves each checked helper's overflow-free path a few instructions that
+/// inline at every call site.
+[[noreturn, gnu::cold, gnu::noinline]] inline void checked_failure(
+    CheckedOp op, sum_t a, sum_t b) {
+  if (op == CheckedOp::kNarrow) {
+    throw AuditFailure("value " + std::to_string(a) +
+                       " does not fit the narrow type in checked_narrow");
+  }
+  const char* name = op == CheckedOp::kAdd   ? "checked_add"
+                     : op == CheckedOp::kSub ? "checked_sub"
+                                             : "checked_mul";
+  throw AuditFailure("sum_t overflow in " + std::string(name) + "(" +
+                     std::to_string(a) + ", " + std::to_string(b) + ")");
+}
+
+}  // namespace detail
+
 /// a + b with overflow detection.
 inline sum_t checked_add(sum_t a, sum_t b) {
   sum_t r;
   if (__builtin_add_overflow(a, b, &r)) {
-    throw AuditFailure("sum_t overflow in checked_add(" + std::to_string(a) +
-                       ", " + std::to_string(b) + ")");
+    detail::checked_failure(detail::CheckedOp::kAdd, a, b);
   }
   return r;
 }
@@ -48,8 +72,7 @@ inline sum_t checked_add(sum_t a, sum_t b) {
 inline sum_t checked_sub(sum_t a, sum_t b) {
   sum_t r;
   if (__builtin_sub_overflow(a, b, &r)) {
-    throw AuditFailure("sum_t overflow in checked_sub(" + std::to_string(a) +
-                       ", " + std::to_string(b) + ")");
+    detail::checked_failure(detail::CheckedOp::kSub, a, b);
   }
   return r;
 }
@@ -58,8 +81,7 @@ inline sum_t checked_sub(sum_t a, sum_t b) {
 inline sum_t checked_mul(sum_t a, sum_t b) {
   sum_t r;
   if (__builtin_mul_overflow(a, b, &r)) {
-    throw AuditFailure("sum_t overflow in checked_mul(" + std::to_string(a) +
-                       ", " + std::to_string(b) + ")");
+    detail::checked_failure(detail::CheckedOp::kMul, a, b);
   }
   return r;
 }
@@ -111,8 +133,7 @@ inline To checked_narrow(sum_t v) {
                 "checked_narrow targets a strictly narrower integer type");
   To r = static_cast<To>(v);
   if (static_cast<sum_t>(r) != v) {
-    throw AuditFailure("value " + std::to_string(v) +
-                       " does not fit the narrow type in checked_narrow");
+    detail::checked_failure(detail::CheckedOp::kNarrow, v, 0);
   }
   return r;
 }

@@ -157,6 +157,40 @@ TEST(InvariantAuditor, DetectsWrongClaimedCut) {
                AuditFailure);
 }
 
+TEST(InvariantAuditor, DetectsDriftedBisectionDegrees) {
+  const Graph g = test_graph();
+  std::vector<idx_t> where(to_size(g.nvtxs));
+  for (idx_t v = 0; v < g.nvtxs; ++v) where[to_size(v)] = (v / 3) % 2;
+  // The same degrees a 2-parts k-way context keeps.
+  const std::vector<real_t> ub(to_size(g.ncon), 1.5);
+  const KWayContext ctx(g, 2, where, ub, nullptr);
+  std::vector<sum_t> id = ctx.ids();
+  std::vector<sum_t> ed = ctx.eds();
+
+  InvariantAuditor aud(AuditLevel::kBoundaries);
+  aud.check_bisection_degrees(g, where, id, ed, "test");
+  EXPECT_EQ(aud.count(AuditCheck::kBisectionState), 1U);
+
+  // A move whose neighbour updates were skipped (a rollback that restores
+  // `where` but not the degrees): v's own degrees are swapped, but no
+  // neighbour's degrees change.
+  const idx_t v = 10;
+  where[to_size(v)] = 1 - where[to_size(v)];
+  std::swap(id[to_size(v)], ed[to_size(v)]);
+  EXPECT_THROW(aud.check_bisection_degrees(g, where, id, ed, "test"),
+               AuditFailure);
+  where[to_size(v)] = 1 - where[to_size(v)];
+  std::swap(id[to_size(v)], ed[to_size(v)]);
+  aud.check_bisection_degrees(g, where, id, ed, "test");
+
+  ed[7] = checked_add(ed[7], 1);  // drifted external degree
+  EXPECT_THROW(aud.check_bisection_degrees(g, where, id, ed, "test"),
+               AuditFailure);
+  ed.pop_back();  // wrong size is a caller bug, not a pass
+  EXPECT_THROW(aud.check_bisection_degrees(g, where, id, ed, "test"),
+               AuditFailure);
+}
+
 TEST(InvariantAuditor, DetectsDriftedKWayState) {
   const Graph g = test_graph();
   const idx_t nparts = 4;

@@ -111,6 +111,42 @@ TEST(BucketQueue, ResetClearsState) {
   EXPECT_EQ(q.key(0), 2);
 }
 
+// FM empties its queues between passes with clear() instead of reset():
+// the queue keeps its grown bucket range and stale per-id slots, and the
+// pops that follow must not notice.
+TEST(BucketQueue, ClearThenReuseMatchesFreshReset) {
+  constexpr idx_t kN = 64;
+  Rng rng(5);
+  BucketQueue reused;
+  reused.reset(kN);
+  // Leave the queue non-empty, with its range grown far past the default
+  // and its max pointer above the remaining elements.
+  for (idx_t id = 0; id < kN; id += 2) {
+    reused.insert(id, static_cast<wgt_t>(rng.next_in(-3000, 3000)));
+  }
+  for (int i = 0; i < 5; ++i) reused.pop_max();
+  reused.clear();
+  EXPECT_TRUE(reused.empty());
+  for (idx_t id = 0; id < kN; ++id) EXPECT_FALSE(reused.contains(id));
+
+  BucketQueue fresh;
+  fresh.reset(kN);
+  for (BucketQueue* q : {&reused, &fresh}) {
+    // Ties in every bucket pop LIFO; updates and removes relink nodes.
+    for (idx_t id = 0; id < kN; ++id) q->insert(id, (id * 7) % 5 - 2);
+    for (idx_t id = 0; id < kN; id += 9) q->update(id, 3);
+    for (idx_t id = 1; id < kN; id += 11) q->remove(id);
+  }
+  ASSERT_EQ(reused.size(), fresh.size());
+  while (!fresh.empty()) {
+    ASSERT_EQ(reused.max_key(), fresh.max_key());
+    ASSERT_EQ(reused.pop_max(), fresh.pop_max());
+  }
+  EXPECT_TRUE(reused.empty());
+  reused.clear();  // clearing an empty queue is a no-op
+  EXPECT_TRUE(reused.empty());
+}
+
 /// Randomized stress test against a reference implementation.
 TEST(BucketQueue, StressAgainstReference) {
   constexpr idx_t kN = 200;

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <string>
 
 namespace mcgp {
 namespace {
@@ -113,6 +114,33 @@ TEST(CheckedOps, ErrorMessagesCarryOperands) {
     EXPECT_NE(std::string(e.what()).find("checked_narrow"),
               std::string::npos);
   }
+}
+
+/// what() of the AuditFailure `fn` throws ("" if it does not throw).
+template <typename Fn>
+std::string failure_text(Fn fn) {
+  try {
+    fn();
+  } catch (const AuditFailure& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// The throw sits in an out-of-line cold helper so the overflow-free path
+// inlines; the diagnostic it builds must stay word for word the same.
+TEST(CheckedAdd, OverflowMessageNamesOperands) {
+  EXPECT_EQ(failure_text([] { return checked_add(kMax, 25); }),
+            "sum_t overflow in checked_add(9223372036854775807, 25)");
+  EXPECT_EQ(failure_text([] { return checked_sub(kMin, 3); }),
+            "sum_t overflow in checked_sub(-9223372036854775808, 3)");
+  EXPECT_EQ(failure_text([] { return checked_mul(kMax, -2); }),
+            "sum_t overflow in checked_mul(9223372036854775807, -2)");
+  EXPECT_EQ(failure_text([] { return checked_narrow<wgt_t>(kMax); }),
+            "value 9223372036854775807 does not fit the narrow type in "
+            "checked_narrow");
+  EXPECT_EQ(failure_text([] { return checked_narrow<std::int16_t>(-40000); }),
+            "value -40000 does not fit the narrow type in checked_narrow");
 }
 
 // The audit layer treats AuditFailure as "bug in the partitioner", not

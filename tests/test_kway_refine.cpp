@@ -13,6 +13,7 @@
 #include "gen/mesh_gen.hpp"
 #include "gen/weight_gen.hpp"
 #include "graph/metrics.hpp"
+#include "part_hash.hpp"
 #include "support/thread_pool.hpp"
 #include "support/trace.hpp"
 #include "support/workspace.hpp"
@@ -415,16 +416,6 @@ TEST(KWayDegreeCache, ReloadRebuildsAfterExternalChange) {
   ctx.reload();
   EXPECT_TRUE(degree_cache_exact(g, where, ctx));
   EXPECT_EQ(ctx.pwgts(), compute_part_weights(g, where, 4));
-}
-
-/// FNV-1a over a part array: pins a whole partition in one constant.
-std::uint64_t part_hash(const std::vector<idx_t>& part) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const idx_t p : part) {
-    h ^= static_cast<std::uint64_t>(static_cast<std::uint32_t>(p));
-    h *= 1099511628211ULL;
-  }
-  return h;
 }
 
 // Exact result recorded before the degree cache existed. The cache only

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "core/balance2way.hpp"
+#include "core/partitioner.hpp"
 #include "gen/mesh_gen.hpp"
 #include "gen/weight_gen.hpp"
+#include "part_hash.hpp"
 #include "support/random.hpp"
 
 namespace mcgp {
@@ -204,6 +208,65 @@ TEST(Refine2Way, MultiConstraintSwapEscape) {
   }
   b.init(g, where, t);
   EXPECT_LE(b.potential(), 1.0 + 1e-9) << "swap escape failed";
+}
+
+// Exact results recorded while every FM pass still rebuilt its degrees,
+// balance, dominant-constraint map and queues from scratch. Keeping that
+// state for the whole refine_2way call is a speed change only: a diff here
+// means a pass made a different decision.
+struct PinnedRefine {
+  QueuePolicy policy;
+  int passes;
+  idx_t moves;
+  sum_t initial_cut;
+  sum_t final_cut;
+  std::uint64_t hash;
+};
+
+TEST(Refine2WayState, StatsPinned) {
+  const PinnedRefine pins[] = {
+      {QueuePolicy::kMostImbalanced, 8, 2187, 2320, 265, 0xae3b9e5a90e973d2ULL},
+      {QueuePolicy::kRoundRobin, 8, 2084, 2320, 130, 0x84ddf22f72e3baadULL},
+      {QueuePolicy::kSingleQueue, 7, 2113, 2320, 41, 0xf64ad8e62fa671b0ULL},
+  };
+  for (const PinnedRefine& pin : pins) {
+    Graph g = grid2d(40, 40);
+    apply_type_s_weights(g, 3, 12, 0, 19, 5);
+    std::vector<idx_t> where = jagged_bisection(40, 40);
+    Refine2WayStats stats;
+    Rng rng(21);
+    const sum_t cut = refine_2way(g, where, even_targets(3), pin.policy, 8,
+                                  0, rng, &stats);
+    const int policy = static_cast<int>(pin.policy);
+    EXPECT_EQ(stats.passes, pin.passes) << "policy " << policy;
+    EXPECT_EQ(stats.moves, pin.moves) << "policy " << policy;
+    EXPECT_EQ(stats.initial_cut, pin.initial_cut) << "policy " << policy;
+    EXPECT_EQ(stats.final_cut, pin.final_cut) << "policy " << policy;
+    EXPECT_EQ(cut, pin.final_cut) << "policy " << policy;
+    EXPECT_EQ(part_hash(where), pin.hash) << "policy " << policy << std::hex
+                                          << " hash 0x" << part_hash(where);
+  }
+}
+
+// MC-RB end to end on the benchmark's kind of input (graded FE mesh,
+// Type-P, m=3): every bisection's FM refinement feeds the next, so this
+// pins the whole recursion. Equal at 1 and 4 threads.
+TEST(Refine2WayState, RbPartitionPinned) {
+  for (const int threads : {1, 4}) {
+    Graph g = fe_mesh(5000, 7);
+    apply_type_p_weights(g, 3, 32, 8);
+    Options o;
+    o.nparts = 16;
+    o.algorithm = Algorithm::kRecursiveBisection;
+    o.seed = 3;
+    o.num_threads = threads;
+    const PartitionResult r = partition(g, o);
+    EXPECT_EQ(r.cut, 11694) << "threads=" << threads;
+    EXPECT_EQ(part_hash(r.part), 0x42287d934fb73033ULL)
+        << "threads=" << threads << std::hex << " hash 0x"
+        << part_hash(r.part);
+    EXPECT_TRUE(r.feasible);
+  }
 }
 
 }  // namespace
