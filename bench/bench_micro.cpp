@@ -152,6 +152,41 @@ void BM_KWaySweepParallel(benchmark::State& state) {
 }
 BENCHMARK(BM_KWaySweepParallel)->Args({200, 1})->Args({200, 8});
 
+// The k-way balancer's drain (greedy_episodes) on repart-front-m3's kind
+// of input: a feasible k=64 partition of a 160x160 Type-S m=3 grid whose
+// weights a centred disc then overloads (constraint 0 tripled, constraint 2
+// doubled under it), so each call runs hundreds of episodes.
+void BM_GreedyEpisodes(benchmark::State& state) {
+  constexpr idx_t kSide = 160;
+  constexpr idx_t kParts = 64;
+  Graph g = make_bench_graph(kSide, 3);
+  Options o;
+  o.nparts = kParts;
+  o.seed = 1;
+  const std::vector<idx_t> start = partition(g, o).part;
+  const double r = 0.15 * static_cast<double>(kSide);
+  for (idx_t y = 0; y < kSide; ++y) {
+    for (idx_t x = 0; x < kSide; ++x) {
+      const double dx = static_cast<double>(x) - 0.5 * kSide;
+      const double dy = static_cast<double>(y) - 0.5 * kSide;
+      if (dx * dx + dy * dy > r * r) continue;
+      wgt_t* w = g.weights(y * kSide + x);
+      w[0] *= 3;
+      w[2] *= 2;
+    }
+  }
+  g.finalize();
+  const std::vector<real_t> ub(3, 1.05);
+  Rng rng(1);
+  for (auto _ : state) {
+    std::vector<idx_t> where = start;
+    const bool ok = kway_balance(g, kParts, where, ub, rng);
+    benchmark::DoNotOptimize(ok);
+  }
+  state.SetItemsProcessed(state.iterations() * g.nvtxs);
+}
+BENCHMARK(BM_GreedyEpisodes)->Unit(benchmark::kMillisecond);
+
 void BM_InducedSubgraph(benchmark::State& state) {
   const Graph g = make_bench_graph(static_cast<idx_t>(state.range(0)), 1);
   const bool use_ws = state.range(1) != 0;

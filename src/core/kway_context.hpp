@@ -281,6 +281,8 @@ const char* drain_stop_name(DrainStop stop);
 struct DrainStats {
   sum_t moves = 0;    ///< moves committed
   int episodes = 0;  ///< episodes that committed at least one move
+  sum_t pops = 0;     ///< heap pops, lazy requeues included
+  sum_t dead_pops = 0;  ///< pops with no admissible destination part
   DrainStop stop = DrainStop::kEpisodeCap;
 };
 
@@ -291,6 +293,8 @@ struct DrainStats {
 /// the current peak; fits, then cut gain, then lower load decide. Episodes
 /// repeat while (peak, #loads at the peak) falls lexicographically, under
 /// episode and move caps. Serial and deterministic: it draws no randomness.
+/// Per-part member lists, kept sorted by id across the drain's moves, make
+/// seeding an episode cost O(|q| log |q|) for peak part q rather than O(n).
 /// Defined in core/rebalance.cpp with its helpers.
 DrainStats greedy_episodes(KWayContext& ctx);
 

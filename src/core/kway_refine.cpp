@@ -336,6 +336,8 @@ bool balance_context(KWayContext& ctx, TraceRecorder* trace,
   if (span.enabled()) {
     trace_count(trace, "kway.balance.moves", d.moves);
     trace_count(trace, "kway.balance.episodes", d.episodes);
+    trace_count(trace, "kway.balance.pops", d.pops);
+    trace_count(trace, "kway.balance.dead_pops", d.dead_pops);
     // Why the drain stopped, so tight instances are diagnosable from
     // counters alone.
     trace_count(trace,

@@ -1,6 +1,7 @@
 #include "core/rebalance.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -152,8 +153,18 @@ DrainStats greedy_episodes(KWayContext& ctx) {
   const sum_t move_cap =
       checked_mul(static_cast<sum_t>(8),
                   static_cast<sum_t>(std::max<idx_t>(g.nvtxs, 1)));
+  // The vertices of each part in ascending id. An episode seeds its heap
+  // from the peak part's list in the order a scan of all n vertices would
+  // insert them, so heap ties pop exactly as they would after that scan.
+  // Only the ctx.move() below mutates `where` while the lists are live.
+  std::vector<std::vector<idx_t>> members(to_size(nparts));
+  for (idx_t v = 0; v < g.nvtxs; ++v) {
+    members[to_size(where[to_size(v)])].push_back(v);
+  }
   IndexedMaxHeap heap;
+  heap.reset(g.nvtxs);
   std::vector<char> requeued(to_size(g.nvtxs), 0);
+  std::vector<idx_t> requeued_ids;  // the nonzero entries of `requeued`
   auto prev = progress_state(g, ctx, nparts);
   for (int ep = 0; ep < max_episodes; ++ep) {
     idx_t q;
@@ -169,10 +180,12 @@ DrainStats greedy_episodes(KWayContext& ctx) {
       break;
     }
 
-    heap.reset(g.nvtxs);
-    std::fill(requeued.begin(), requeued.end(), 0);
-    for (idx_t v = 0; v < g.nvtxs; ++v) {
-      if (where[to_size(v)] != q) continue;
+    heap.clear();
+    for (const idx_t v : requeued_ids) requeued[to_size(v)] = 0;
+    requeued_ids.clear();
+    std::vector<idx_t>& from = members[to_size(q)];
+    assert(to_size(ctx.vcounts()[to_size(q)]) == from.size());
+    for (const idx_t v : from) {
       if (g.weight(v, c) <= 0) continue;
       heap.insert(v, relief_key(g, ctx, v, c));
     }
@@ -189,6 +202,7 @@ DrainStats greedy_episodes(KWayContext& ctx) {
       if (!ctx.can_leave(q)) break;
       const real_t popped_key = heap.top_key();
       const idx_t v = heap.pop_max();
+      st.pops = checked_add(st.pops, 1);
       // Lazy revalidation: earlier moves shifted v's neighborhood. If the
       // fresh key lost its place at the top, requeue once and move on —
       // the one-requeue guard keeps the episode linear.
@@ -196,6 +210,7 @@ DrainStats greedy_episodes(KWayContext& ctx) {
       if (requeued[to_size(v)] == 0 && fresh < popped_key - 1e-9 &&
           !heap.empty() && fresh < heap.top_key()) {
         requeued[to_size(v)] = 1;
+        requeued_ids.push_back(v);
         heap.insert(v, fresh);
         continue;
       }
@@ -206,8 +221,14 @@ DrainStats greedy_episodes(KWayContext& ctx) {
         loads_changed = false;
       }
       const idx_t dest = pick_destination(ctx, v, q, idw, peak, lightest);
-      if (dest < 0) continue;
+      if (dest < 0) {
+        st.dead_pops = checked_add(st.dead_pops, 1);
+        continue;
+      }
       ctx.move(v, dest);
+      from.erase(std::lower_bound(from.begin(), from.end(), v));
+      std::vector<idx_t>& to = members[to_size(dest)];
+      to.insert(std::lower_bound(to.begin(), to.end(), v), v);
       loads_changed = true;
       ++ep_moves;
     }

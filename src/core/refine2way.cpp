@@ -168,9 +168,21 @@ bool FmPass::select(idx_t& v, int& from) {
   std::array<int, kMaxNcon> order{};
   std::iota(order.begin(), order.begin() + nq, 0);
   if (policy_ == QueuePolicy::kMostImbalanced) {
-    std::sort(order.begin(), order.begin() + nq, [&](int a, int b) {
-      return balance_.constraint_potential(a) > balance_.constraint_potential(b);
-    });
+    // Stable insertion sort over at most kMaxNcon entries: the order
+    // std::sort gives on a range this short (libstdc++ insertion-sorts
+    // ranges of 16 or fewer), without its introsort body, which GCC's
+    // -Warray-bounds misreads under -fsanitize=address.
+    for (int i = 1; i < nq; ++i) {
+      const int c = order[to_size(i)];
+      const real_t pc = balance_.constraint_potential(c);
+      int j = i;
+      while (j > 0 &&
+             pc > balance_.constraint_potential(order[to_size(j - 1)])) {
+        order[to_size(j)] = order[to_size(j - 1)];
+        --j;
+      }
+      order[to_size(j)] = c;
+    }
   } else {
     std::rotate(order.begin(), order.begin() + (rr_next_ % nq),
                 order.begin() + nq);

@@ -86,6 +86,41 @@ TEST(IndexedMaxHeap, ReinsertAfterRemove) {
   EXPECT_EQ(h.pop_max(), 0);
 }
 
+TEST(IndexedMaxHeap, ClearThenReuseMatchesFreshReset) {
+  constexpr idx_t kN = 64;
+  Rng rng(5);
+  IndexedMaxHeap reused;
+  reused.reset(kN);
+  // Leave the heap partly popped, with stale keys behind the cleared ids.
+  for (idx_t id = 0; id < kN; id += 2) {
+    reused.insert(id, rng.next_real() * 100 - 50);
+  }
+  for (int i = 0; i < 5; ++i) reused.pop_max();
+  reused.clear();
+  EXPECT_TRUE(reused.empty());
+  for (idx_t id = 0; id < kN; ++id) EXPECT_FALSE(reused.contains(id));
+
+  IndexedMaxHeap fresh;
+  fresh.reset(kN);
+  for (IndexedMaxHeap* h : {&reused, &fresh}) {
+    // Five distinct keys over 64 ids: ties pop in an order fixed by the
+    // insertion sequence alone, which both heaps share.
+    for (idx_t id = 0; id < kN; ++id) {
+      h->insert(id, static_cast<real_t>((id * 7) % 5) - 2.0);
+    }
+    for (idx_t id = 0; id < kN; id += 9) h->update(id, 3.0);
+    for (idx_t id = 1; id < kN; id += 11) h->remove(id);
+  }
+  ASSERT_EQ(reused.size(), fresh.size());
+  while (!fresh.empty()) {
+    ASSERT_EQ(reused.top_key(), fresh.top_key());
+    ASSERT_EQ(reused.pop_max(), fresh.pop_max());
+  }
+  EXPECT_TRUE(reused.empty());
+  reused.clear();  // clearing an empty heap is a no-op
+  EXPECT_TRUE(reused.empty());
+}
+
 TEST(IndexedMaxHeap, StressAgainstReference) {
   constexpr idx_t kN = 150;
   IndexedMaxHeap h;

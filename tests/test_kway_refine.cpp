@@ -455,5 +455,47 @@ TEST(KWayDegreeCache, RefinePartitionPinned) {
   EXPECT_TRUE(r.feasible);
 }
 
+// Exact result of one balancer call on a k=64 repair whose drifted
+// weights leave the start infeasible. Every figure, pops included, was
+// recorded from the drain before it kept per-part member lists; with over
+// a thousand episodes, a list that drifted out of id order would change
+// the heap's tie order and show here.
+TEST(GreedyEpisodes, RepairDrainPinned) {
+  Graph g = grid2d(80, 80);
+  apply_type_s_weights(g, 3, 16, 0, 19, 7);
+  Options o;
+  o.nparts = 64;
+  o.seed = 11;
+  const std::vector<idx_t> start = partition(g, o).part;
+  apply_type_s_weights(g, 3, 16, 0, 19, 8);  // drift the weights
+  const std::vector<real_t> ub = ubvec(3);
+
+  std::vector<idx_t> where = start;
+  KWayContext ctx(g, 64, where, ub, nullptr);
+  ASSERT_FALSE(ctx.feasible());
+  const DrainStats d = greedy_episodes(ctx);
+  EXPECT_EQ(d.moves, 11774);
+  EXPECT_EQ(d.episodes, 1273);
+  EXPECT_EQ(d.stop, DrainStop::kNoMoves);
+  EXPECT_EQ(d.pops, 38358);
+  EXPECT_EQ(d.dead_pops, 26584);
+  // Every pop is a move, a dead pop, or a lazy requeue.
+  EXPECT_GE(d.pops, checked_add(d.moves, d.dead_pops));
+  EXPECT_EQ(part_hash(where), 0xc1faf0833aca177bULL);
+
+  // kway_balance runs the same drain and traces the same counts.
+  std::vector<idx_t> traced = start;
+  TraceRecorder tr;
+  Rng rng(1);
+  EXPECT_FALSE(kway_balance(g, 64, traced, ub, rng, nullptr, &tr));
+  EXPECT_EQ(traced, where);
+  const CounterRegistry merged = tr.merged_counters();
+  EXPECT_EQ(merged.get("kway.balance.moves"), d.moves);
+  EXPECT_EQ(merged.get("kway.balance.episodes"), d.episodes);
+  EXPECT_EQ(merged.get("kway.balance.pops"), d.pops);
+  EXPECT_EQ(merged.get("kway.balance.dead_pops"), d.dead_pops);
+  EXPECT_EQ(merged.get("kway.balance.bail.no_moves"), 1);
+}
+
 }  // namespace
 }  // namespace mcgp
