@@ -3,8 +3,6 @@
 // partitioners.
 #include <benchmark/benchmark.h>
 
-#include <memory>
-
 #include "core/coarsen.hpp"
 #include "core/kway_refine.hpp"
 #include "core/matching.hpp"
@@ -16,7 +14,6 @@
 #include "support/flight_recorder.hpp"
 #include "support/metrics.hpp"
 #include "support/perf_counters.hpp"
-#include "support/thread_pool.hpp"
 #include "support/workspace.hpp"
 
 namespace {
@@ -99,58 +96,6 @@ void BM_ContractWorkspace(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * g.nedges());
 }
 BENCHMARK(BM_ContractWorkspace)->Arg(200)->Arg(400);
-
-// Chunked parallel contraction at t threads against the same-output
-// serial row builder (t=1 -> null pool -> serial path).
-void BM_ContractParallel(benchmark::State& state) {
-  const Graph g = make_bench_graph(static_cast<idx_t>(state.range(0)), 3);
-  const int threads = static_cast<int>(state.range(1));
-  Rng rng(1);
-  const auto match = compute_matching(g, MatchScheme::kHeavyEdge, rng);
-  std::vector<idx_t> cmap;
-  const idx_t nc = build_coarse_map(g, match, cmap);
-  std::unique_ptr<ThreadPool> pool;
-  if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
-  WorkspacePool wspool;
-  ContractExec exec;
-  exec.pool = pool.get();
-  exec.wspool = &wspool;
-  Workspace ws;
-  for (auto _ : state) {
-    Graph c = contract_graph(g, cmap, nc, &ws, &exec);
-    benchmark::DoNotOptimize(c.adjncy.data());
-  }
-  state.SetItemsProcessed(state.iterations() * g.nedges());
-}
-BENCHMARK(BM_ContractParallel)->Args({200, 1})->Args({200, 8});
-
-// Colored k-way sweep at t threads: the propose phases fan out per color
-// class; commit stays serial. Same algorithm at every t.
-void BM_KWaySweepParallel(benchmark::State& state) {
-  const idx_t side = static_cast<idx_t>(state.range(0));
-  const int threads = static_cast<int>(state.range(1));
-  const Graph g = make_bench_graph(side, 3);
-  const idx_t k = 16;
-  std::vector<real_t> ub(3, 1.05);
-  Rng seedr(3);
-  std::vector<idx_t> start(to_size(g.nvtxs));
-  for (auto& p : start) p = static_cast<idx_t>(seedr.next_below(k));
-  std::unique_ptr<ThreadPool> pool;
-  if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
-  WorkspacePool wspool;
-  KWayExec exec;
-  exec.pool = pool.get();
-  exec.wspool = &wspool;
-  Rng rng(1);
-  for (auto _ : state) {
-    std::vector<idx_t> where = start;
-    const sum_t cut = kway_refine(g, k, where, ub, 2, rng, nullptr, nullptr,
-                                  nullptr, nullptr, nullptr, &exec);
-    benchmark::DoNotOptimize(cut);
-  }
-  state.SetItemsProcessed(state.iterations() * g.nvtxs);
-}
-BENCHMARK(BM_KWaySweepParallel)->Args({200, 1})->Args({200, 8});
 
 // The k-way balancer's drain (greedy_episodes) on repart-front-m3's kind
 // of input: a feasible k=64 partition of a 160x160 Type-S m=3 grid whose

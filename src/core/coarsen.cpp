@@ -1,37 +1,26 @@
 #include "core/coarsen.hpp"
 
-#include <algorithm>
-#include <cstddef>
-#include <memory>
+#include <utility>
 
 #include "core/audit.hpp"
 #include "support/flight_recorder.hpp"
 #include "support/perf_counters.hpp"
-#include "support/thread_pool.hpp"
 #include "support/trace.hpp"
 
 namespace mcgp {
 
 namespace {
 
-/// Coarse-vertex range per parallel contraction chunk, and the minimum
-/// coarse size worth chunking for (below it the merge bookkeeping costs
-/// more than the rows).
-constexpr idx_t kContractChunk = 4096;
-
-/// Append the coarse adjacency rows of coarse vertices [b, e) to
-/// `adjncy`/`adjwgt`, recording each row's END as a size relative to the
-/// start of the range into xadj_end[cv]. `pos` is a dense all--1 map of
-/// size >= ncoarse; every touched entry is restored. This is THE row
-/// builder: the serial path runs it once over [0, ncoarse) straight into
-/// the output graph, the chunked path runs it per range into chunk-local
-/// buffers — same walk, so the merged output is bit-identical.
+/// Append the coarse adjacency rows of coarse vertices [0, ncoarse) to
+/// `adjncy`/`adjwgt`, recording each row's end offset in xadj_end[cv].
+/// `pos` is a dense all--1 map of size >= ncoarse; every touched entry is
+/// restored.
 void build_rows(const Graph& g, const std::vector<idx_t>& cmap,
                 const std::vector<idx_t>& first,
-                const std::vector<idx_t>& second, idx_t b, idx_t e,
+                const std::vector<idx_t>& second, idx_t ncoarse,
                 std::vector<idx_t>& pos, std::vector<idx_t>& adjncy,
                 std::vector<wgt_t>& adjwgt, idx_t* xadj_end) {
-  for (idx_t cv = b; cv < e; ++cv) {
+  for (idx_t cv = 0; cv < ncoarse; ++cv) {
     const idx_t row_start = static_cast<idx_t>(adjncy.size());
     for (const idx_t v : {first[to_size(cv)],
                           second[to_size(cv)]}) {
@@ -52,14 +41,15 @@ void build_rows(const Graph& g, const std::vector<idx_t>& cmap,
     for (idx_t p = row_start; p < static_cast<idx_t>(adjncy.size()); ++p) {
       pos[to_size(adjncy[to_size(p)])] = -1;
     }
-    xadj_end[cv - b] = static_cast<idx_t>(adjncy.size());
+    xadj_end[cv] = static_cast<idx_t>(adjncy.size());
   }
 }
 
 }  // namespace
 
 Graph contract_graph(const Graph& g, const std::vector<idx_t>& cmap,
-                     idx_t ncoarse, Workspace* ws, const ContractExec* exec) {
+                     idx_t ncoarse, Workspace* ws,
+                     const ContractExec* /*exec*/) {
   Graph c;
   c.nvtxs = ncoarse;
   c.ncon = g.ncon;
@@ -81,92 +71,24 @@ Graph contract_graph(const Graph& g, const std::vector<idx_t>& cmap,
     }
   }
 
-  ThreadPool* pool = exec != nullptr ? exec->pool : nullptr;
-  WorkspacePool* wspool = exec != nullptr ? exec->wspool : nullptr;
-  Profiler* profile = exec != nullptr ? exec->profile : nullptr;
-  const int level = exec != nullptr ? exec->level : -1;
-
-  // Sum constituent weight vectors from the lists: each chunk writes only
-  // its own coarse vertices' weights (disjoint), and per-vertex sums add
-  // first then second exactly like the serial fine-vertex sweep did.
-  parallel_chunks(pool, ncoarse, kContractChunk, [&](idx_t b, idx_t e) {
-    ProfScope aux(profile, "coarsen.contract", level, /*aux=*/true);
-    for (idx_t cv = b; cv < e; ++cv) {
-      wgt_t* out = &c.vwgt[to_size(cv) * to_size(g.ncon)];
-      for (const idx_t v : {first[to_size(cv)],
-                            second[to_size(cv)]}) {
-        if (v < 0) continue;
-        const wgt_t* w = g.weights(v);
-        for (int i = 0; i < g.ncon; ++i) out[i] += w[i];
-      }
+  // Sum constituent weight vectors, first then second.
+  for (idx_t cv = 0; cv < ncoarse; ++cv) {
+    wgt_t* out = &c.vwgt[to_size(cv) * to_size(g.ncon)];
+    for (const idx_t v : {first[to_size(cv)], second[to_size(cv)]}) {
+      if (v < 0) continue;
+      const wgt_t* w = g.weights(v);
+      for (int i = 0; i < g.ncon; ++i) out[i] += w[i];
     }
-  });
-
-  if (pool == nullptr || ncoarse <= kContractChunk) {
-    // Serial rows straight into the output graph.
-    c.adjncy.reserve(g.adjncy.size());
-    c.adjwgt.reserve(g.adjwgt.size());
-    std::vector<idx_t> local_pos;
-    if (ws == nullptr) local_pos.assign(to_size(ncoarse), -1);
-    std::vector<idx_t>& pos =
-        ws != nullptr ? ws->pos_map(to_size(ncoarse))
-                      : local_pos;
-    build_rows(g, cmap, first, second, 0, ncoarse, pos, c.adjncy, c.adjwgt,
-               c.xadj.data() + 1);
-  } else {
-    // Chunked rows: build each coarse-vertex range into its own buffers
-    // (dense map from a workspace lease), then merge at offsets fixed by
-    // chunk order. Same rows, same order — bit-identical to serial.
-    const idx_t nchunks = (ncoarse + kContractChunk - 1) / kContractChunk;
-    std::vector<std::vector<idx_t>> chunk_adjncy(to_size(nchunks));
-    std::vector<std::vector<wgt_t>> chunk_adjwgt(to_size(nchunks));
-    parallel_chunks(pool, ncoarse, kContractChunk, [&](idx_t b, idx_t e) {
-      ProfScope aux(profile, "coarsen.contract", level, /*aux=*/true);
-      const idx_t chunk = b / kContractChunk;
-      std::vector<idx_t>& adjncy = chunk_adjncy[to_size(chunk)];
-      std::vector<wgt_t>& adjwgt = chunk_adjwgt[to_size(chunk)];
-      std::vector<idx_t> local_pos;
-      std::unique_ptr<WorkspacePool::Lease> lease;
-      if (wspool != nullptr) {
-        lease = std::make_unique<WorkspacePool::Lease>(wspool->acquire());
-      } else {
-        local_pos.assign(to_size(ncoarse), -1);
-      }
-      std::vector<idx_t>& pos = lease != nullptr
-                                    ? (*lease)->pos_map(to_size(ncoarse))
-                                    : local_pos;
-      // Row ends land in c.xadj[b+1 .. e] as range-relative sizes; the
-      // serial merge below shifts them to global offsets. Chunks write
-      // disjoint xadj slices.
-      build_rows(g, cmap, first, second, b, e, pos, adjncy, adjwgt,
-                 c.xadj.data() + b + 1);
-    });
-
-    std::size_t total = 0;
-    std::vector<std::size_t> chunk_base(to_size(nchunks), 0);
-    for (idx_t chunk = 0; chunk < nchunks; ++chunk) {
-      chunk_base[to_size(chunk)] = total;
-      total += chunk_adjncy[to_size(chunk)].size();
-    }
-    c.adjncy.resize(total);
-    c.adjwgt.resize(total);
-    parallel_chunks(pool, ncoarse, kContractChunk, [&](idx_t b, idx_t e) {
-      ProfScope aux(profile, "coarsen.contract", level, /*aux=*/true);
-      const idx_t chunk = b / kContractChunk;
-      const std::size_t base = chunk_base[to_size(chunk)];
-      const std::vector<idx_t>& adjncy = chunk_adjncy[to_size(chunk)];
-      const std::vector<wgt_t>& adjwgt = chunk_adjwgt[to_size(chunk)];
-      std::copy(adjncy.begin(), adjncy.end(), c.adjncy.begin() +
-                                                  static_cast<std::ptrdiff_t>(
-                                                      base));
-      std::copy(adjwgt.begin(), adjwgt.end(), c.adjwgt.begin() +
-                                                  static_cast<std::ptrdiff_t>(
-                                                      base));
-      for (idx_t cv = b; cv < e; ++cv) {
-        c.xadj[to_size(cv) + 1] += static_cast<idx_t>(base);
-      }
-    });
   }
+
+  c.adjncy.reserve(g.adjncy.size());
+  c.adjwgt.reserve(g.adjwgt.size());
+  std::vector<idx_t> local_pos;
+  if (ws == nullptr) local_pos.assign(to_size(ncoarse), -1);
+  std::vector<idx_t>& pos =
+      ws != nullptr ? ws->pos_map(to_size(ncoarse)) : local_pos;
+  build_rows(g, cmap, first, second, ncoarse, pos, c.adjncy, c.adjwgt,
+             c.xadj.data() + 1);
 
   c.finalize();
   return c;
@@ -218,14 +140,9 @@ Hierarchy coarsen_graph(const Graph& g, const CoarsenParams& params, Rng& rng,
       break;
     }
 
-    ContractExec cexec;
-    cexec.pool = params.pool;
-    cexec.wspool = params.wspool;
-    cexec.profile = params.profile;
-    cexec.level = level;
     ProfScope contract_scope(params.profile, "coarsen.contract", level);
     contract_scope.work(cur->nedges(), cur->nvtxs);
-    Graph coarse = contract_graph(*cur, cmap, ncoarse, ws, &cexec);
+    Graph coarse = contract_graph(*cur, cmap, ncoarse, ws);
     contract_scope.finish();
     if (params.audit != nullptr && params.audit->boundaries()) {
       params.audit->check_coarse_level(*cur, coarse, cmap, "coarsen.level");

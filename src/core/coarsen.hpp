@@ -9,29 +9,14 @@
 
 namespace mcgp {
 
-class WorkspacePool;
-
-/// Execution context for parallel contraction. The chunked path builds
-/// coarse adjacency rows per coarse-vertex range into chunk-local buffers
-/// (each chunk leasing its own Workspace from `wspool` for the dense
-/// position map) and then merges them at deterministic offsets. Its output
-/// is bit-identical to the serial path's by construction — every row is
-/// built by the same first/second-constituent walk — so gating it on the
-/// pool cannot perturb partitions across `num_threads`.
-struct ContractExec {
-  ThreadPool* pool = nullptr;
-  WorkspacePool* wspool = nullptr;  ///< per-chunk scratch leases
-  Profiler* profile = nullptr;      ///< aux attribution of worker chunks
-  int level = -1;                   ///< hierarchy level for the bucket
-};
-
 /// Contract a graph according to a fine-to-coarse vertex map.
 /// Coarse vertex weights are the (vector) sums of their constituents;
 /// parallel coarse edges are merged by summing weights; edges internal to
-/// a coarse vertex vanish. A non-null `ws` supplies the constituent-list
-/// and dense position scratch buffers so repeated contractions allocate
-/// nothing beyond the coarse graph itself. A non-null `exec` with a pool
-/// builds the coarse rows in parallel for sufficiently large outputs.
+/// a coarse vertex vanish. One serial pass builds the rows in coarse-id
+/// order at every thread count. A non-null `ws` supplies the
+/// constituent-list and dense position scratch buffers so repeated
+/// contractions allocate nothing beyond the coarse graph itself. `exec` is
+/// ignored (see IgnoredExec).
 Graph contract_graph(const Graph& g, const std::vector<idx_t>& cmap,
                      idx_t ncoarse, Workspace* ws = nullptr,
                      const ContractExec* exec = nullptr);
@@ -74,14 +59,6 @@ struct CoarsenParams {
   /// Optional hardware-counter profiler: one measured interval per level
   /// for matching and for contraction. Null = one pointer test per level.
   Profiler* profile = nullptr;
-  /// Optional thread pool: runs the contraction chunk tasks. Matching is
-  /// one serial greedy pass and never uses it. The contraction algorithm is
-  /// selected by graph size only, so a null pool executes the identical
-  /// work inline (bit-identical output).
-  ThreadPool* pool = nullptr;
-  /// Scratch leases for parallel contraction chunks (required for the
-  /// chunked contraction path to avoid per-chunk map allocations).
-  WorkspacePool* wspool = nullptr;
 };
 
 /// Repeatedly match-and-contract until the graph is small enough or

@@ -19,6 +19,8 @@ class InvariantAuditor;
 class FlightRecorder;
 class Profiler;
 class MetricsRegistry;
+class ThreadPool;
+class WorkspacePool;
 
 /// How aggressively the pipeline verifies its own bookkeeping invariants
 /// at runtime (see core/audit.hpp). Violations raise AuditFailure.
@@ -105,15 +107,12 @@ struct Options {
   /// Worker threads for the task-parallel drivers (>= 1). 1 (the default)
   /// runs fully serial with no pool. Larger values run the two halves of
   /// every recursive-bisection split and the initial-bisection trials
-  /// concurrently, plus the in-node data-parallel phases: chunked
-  /// contraction and the colored k-way sweep's propose phases. Matching is
-  /// one serial greedy pass at every graph size. Results are identical for
-  /// every value of num_threads at a fixed seed: each subproblem draws from
-  /// its own deterministic RNG stream derived from the seed and the
-  /// subproblem's position (never a shared sequential stream), data-parallel
-  /// phases decompose work by fixed size-based chunk boundaries, and every
-  /// cross-chunk conflict is resolved by a fixed total order (hashed keys /
-  /// ascending ids), never by arrival order.
+  /// concurrently; matching, contraction and the k-way sweep are serial at
+  /// every value, and refine_partition() runs no pool at all. Results are
+  /// identical for every value of num_threads at a fixed seed: each
+  /// subproblem and trial draws from its own deterministic RNG stream
+  /// derived from the seed and its position (never a shared sequential
+  /// stream), and trials are reduced in a fixed order, never by arrival.
   int num_threads = 1;
 
   /// Optional trace recorder (see support/trace.hpp). When non-null the
@@ -200,5 +199,20 @@ struct PartitionResult {
   /// Populated only when Options::trace was set; empty otherwise.
   CounterRegistry counters;
 };
+
+/// Accepted and ignored. Matching, contraction and the k-way sweep are
+/// serial at every thread count, so there is nothing to run on a pool.
+/// Kept only so callers that still build one under the names below and
+/// pass it as the trailing argument of compute_matching_into,
+/// contract_graph or kway_refine compile; no result depends on its fields.
+struct IgnoredExec {
+  ThreadPool* pool = nullptr;        ///< ignored
+  WorkspacePool* wspool = nullptr;   ///< ignored
+  Profiler* profile = nullptr;       ///< ignored
+  int level = -1;                    ///< ignored
+};
+using MatchingExec = IgnoredExec;
+using ContractExec = IgnoredExec;
+using KWayExec = IgnoredExec;
 
 }  // namespace mcgp

@@ -166,17 +166,8 @@ class KWayContext {
   /// Gather the edge weight from v to each touched part. Returns the
   /// weight to v's own part; touched() lists the OTHER parts seen.
   sum_t gather_connectivity(idx_t v) {
-    return gather_connectivity_into(v, conn_, touched_);
-  }
-
-  /// As gather_connectivity, but into caller-owned scratch (size >= nparts,
-  /// zero except the parts listed in `touched` — the same sparse-reset
-  /// discipline as the member buffers). Const: concurrent propose tasks
-  /// read the frozen context while each gathers into its own buffers.
-  sum_t gather_connectivity_into(idx_t v, std::vector<sum_t>& conn,
-                                 std::vector<idx_t>& touched) const {
-    for (const idx_t p : touched) conn[to_size(p)] = 0;
-    touched.clear();
+    for (const idx_t p : touched_) conn_[to_size(p)] = 0;
+    touched_.clear();
     const idx_t own = where_[to_size(v)];
     sum_t idw = 0;
     for (idx_t e = g_.xadj[to_size(v)]; e < g_.xadj[to_size(v + 1)]; ++e) {
@@ -184,8 +175,9 @@ class KWayContext {
       if (p == own) {
         idw = checked_add(idw, g_.adjwgt[to_size(e)]);
       } else {
-        if (conn[to_size(p)] == 0) touched.push_back(p);
-        conn[to_size(p)] = checked_add(conn[to_size(p)], g_.adjwgt[to_size(e)]);
+        if (conn_[to_size(p)] == 0) touched_.push_back(p);
+        conn_[to_size(p)] =
+            checked_add(conn_[to_size(p)], g_.adjwgt[to_size(e)]);
       }
     }
     return idw;

@@ -41,14 +41,12 @@ std::vector<idx_t> partition_kway(const Graph& g, const Options& opts,
   PhaseTimes local_phases;
   PhaseTimes& pt = phases != nullptr ? *phases : local_phases;
 
-  // All scratch comes from one pool: the serial stretches lease a single
-  // workspace below, and the parallel matching / contraction / sweep
-  // chunks lease their own, so footprint telemetry sees every buffer.
-  WorkspacePool wspool;
+  // Coarsening is the only phase here that takes scratch; one workspace
+  // serves every level.
+  Workspace ws;
   Hierarchy h;
   {
     ScopedPhase sp(pt, "coarsen");
-    WorkspacePool::Lease ws = wspool.acquire();
     CoarsenParams cp;
     cp.coarsen_to = kway_coarsen_to(opts, k, g.ncon, g.nvtxs);
     cp.scheme = opts.matching;
@@ -57,11 +55,9 @@ std::vector<idx_t> partition_kway(const Graph& g, const Options& opts,
     cp.audit = opts.audit;
     cp.flight = opts.flight;
     cp.profile = opts.profile;
-    cp.pool = pool;
-    cp.wspool = &wspool;
     // The coarsest graph must retain enough vertices to seed k parts.
     cp.coarsen_to = std::max<idx_t>(cp.coarsen_to, 4 * k);
-    h = coarsen_graph(g, cp, rng, ws.get());
+    h = coarsen_graph(g, cp, rng, &ws);
   }
 
   if (stats != nullptr) {
@@ -131,13 +127,8 @@ std::vector<idx_t> partition_kway(const Graph& g, const Options& opts,
         cut = kway_refine_pq(cur, k, cwhere, ub, passes, rng, nullptr, tp,
                              opts.trace, opts.audit, opts.flight);
       } else {
-        KWayExec kexec;
-        kexec.pool = pool;
-        kexec.wspool = &wspool;
-        kexec.profile = opts.profile;
-        kexec.level = l;
         cut = kway_refine(cur, k, cwhere, ub, passes, rng, nullptr, tp,
-                          opts.trace, opts.audit, opts.flight, &kexec);
+                          opts.trace, opts.audit, opts.flight);
       }
       ps.finish();
       if (opts.flight != nullptr) {
@@ -192,7 +183,7 @@ std::vector<idx_t> partition_kway(const Graph& g, const Options& opts,
   }
 
   if (opts.flight != nullptr) {
-    opts.flight->note_workspace(wspool.footprint_bytes(), wspool.size());
+    opts.flight->note_workspace(ws.footprint_bytes(), 1);
   }
   return cwhere;
 }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <string>
 
 #include "core/audit.hpp"
@@ -13,9 +12,7 @@
 #include "support/bucket_queue.hpp"
 #include "support/flight_recorder.hpp"
 #include "support/perf_counters.hpp"
-#include "support/thread_pool.hpp"
 #include "support/trace.hpp"
-#include "support/workspace.hpp"
 
 namespace mcgp {
 
@@ -51,11 +48,6 @@ namespace {
 // The shared bookkeeping (part weights, counts, limits, connectivity
 // scratch) lives in core/kway_context.hpp so the rebalancer can reuse it.
 
-/// Vertex-range grain of the colored sweep's parallel phases (boundary
-/// collection and per-color propose). Fixed boundaries: the decomposition
-/// depends only on sizes, never on the pool.
-constexpr idx_t kSweepChunk = 4096;
-
 /// Visit-order key of one boundary vertex in a colored sweep pass: color
 /// class, then the per-pass hash of the id, then the id. Computed once per
 /// vertex per pass so the sort compares stored keys.
@@ -68,8 +60,9 @@ struct SweepKey {
 /// Greedy vertex coloring in ascending id order: each vertex takes the
 /// smallest color absent among its already-colored neighbors. Adjacent
 /// vertices never share a color, so same-color boundary vertices cannot
-/// affect each other's connectivity — the independence the colored sweep's
-/// concurrent propose phase rests on. Deterministic by construction.
+/// affect each other's connectivity — the independence that keeps a
+/// color class's proposals exact until commit. Deterministic by
+/// construction.
 void color_graph(const Graph& g, std::vector<idx_t>& color) {
   color.assign(to_size(g.nvtxs), -1);
   std::vector<idx_t> used;  // used[c] == v iff c is taken next to v
@@ -86,27 +79,24 @@ void color_graph(const Graph& g, std::vector<idx_t>& color) {
   }
 }
 
-/// Best admissible move of v under the sweep rules, evaluated against the
-/// (frozen) context state using caller-owned connectivity scratch. Pure
-/// per-vertex function of that state: concurrent evaluation over any
-/// chunking yields identical proposals.
-void propose_move(const Graph& /*g*/, const KWayContext& ctx,
-                  const std::vector<idx_t>& where, idx_t v,
-                  std::vector<sum_t>& conn, std::vector<idx_t>& touched,
-                  idx_t& dest, sum_t& gain) {
-  dest = -1;
-  gain = 0;
+/// Best admissible move of vertex v under the sweep rules, evaluated
+/// against the context's current state. Returns false when there is none;
+/// otherwise the destination part and its gain via out-params.
+bool best_move(KWayContext& ctx, const std::vector<idx_t>& where, idx_t v,
+               idx_t& dest, sum_t& gain) {
   const idx_t own = where[to_size(v)];
-  if (!ctx.can_leave(own)) return;
+  if (!ctx.can_leave(own)) return false;
   // Exact prune on the live degree cache: every part's connectivity is at
   // most ed(v), so ed < id makes every candidate gain negative and the
-  // scan below could not propose a move either.
-  if (ctx.ed(v) < ctx.id(v)) return;
-  const sum_t idw = ctx.gather_connectivity_into(v, conn, touched);
+  // scan below could not find a move either.
+  if (ctx.ed(v) < ctx.id(v)) return false;
+  const sum_t idw = ctx.gather_connectivity(v);
+  dest = -1;
+  gain = 0;
   real_t best_load = 0.0;
-  for (const idx_t p : touched) {
+  for (const idx_t p : ctx.touched()) {
     if (!ctx.fits(v, p)) continue;
-    const sum_t g2 = checked_sub(conn[to_size(p)], idw);
+    const sum_t g2 = checked_sub(ctx.conn(p), idw);
     if (g2 < 0) continue;
     const real_t load = ctx.part_load(p);
     // Prefer higher gain; among equal gains prefer the lighter part.
@@ -116,63 +106,41 @@ void propose_move(const Graph& /*g*/, const KWayContext& ctx,
       best_load = load;
     }
   }
-  if (dest < 0) return;
+  if (dest < 0) return false;
   // Zero-gain moves are only worthwhile when they shift weight from a
   // more loaded part to a less loaded one.
-  if (gain == 0 && best_load >= ctx.part_load(own) - 1e-12) dest = -1;
+  return gain != 0 || best_load < ctx.part_load(own) - 1e-12;
 }
 
 /// One cut-driven colored sweep. Boundary vertices are visited color class
 /// by color class; within a class every proposal is computed from the
-/// state frozen at the class's start (concurrently when exec has a pool —
-/// class members are pairwise non-adjacent, so proposals cannot interact)
-/// and then committed serially in the fixed hashed order, re-validating
-/// can_leave/fits/zero-gain-balance against the live weights. A proposal's
-/// GAIN needs no re-validation: only same-class commits intervene and none
-/// of them is adjacent to the proposer, so its connectivity is unchanged —
-/// which keeps the paranoid cut-delta audit exact. Returns the number of
-/// moves performed and the total cut improvement via `gain_sum`.
-idx_t colored_sweep(const Graph& g, KWayContext& ctx, idx_t nparts,
+/// state as of the class's start and then committed in the fixed hashed
+/// order, re-validating can_leave/fits/zero-gain-balance against the live
+/// weights. A proposal's GAIN needs no re-validation: only same-class
+/// commits intervene and none of them is adjacent to the proposer, so its
+/// connectivity is unchanged — which keeps the paranoid cut-delta audit
+/// exact. Returns the number of moves performed and the total cut
+/// improvement via `gain_sum`.
+idx_t colored_sweep(const Graph& g, KWayContext& ctx,
                     const std::vector<idx_t>& where,
                     const std::vector<idx_t>& color, Rng& rng,
-                    sum_t& gain_sum, const KWayExec* exec) {
-  ThreadPool* pool = exec != nullptr ? exec->pool : nullptr;
-  WorkspacePool* wspool = exec != nullptr ? exec->wspool : nullptr;
-  Profiler* profile = exec != nullptr ? exec->profile : nullptr;
-  const int level = exec != nullptr ? exec->level : -1;
-
+                    sum_t& gain_sum) {
   // One draw per pass: every ordering decision below derives from it by
-  // vertex id, independent of threads and chunking.
+  // vertex id.
   const std::uint64_t pass_seed = rng.next_u64();
 
-  // Snapshot the boundary in parallel ranges from the degree cache, keying
-  // each vertex once: (color, hash, id). Concatenating the chunk-local
-  // lists in chunk order recovers exactly the ascending serial scan.
-  const idx_t n = g.nvtxs;
-  const idx_t nchunks = (n + kSweepChunk - 1) / kSweepChunk;
-  std::vector<std::vector<SweepKey>> chunk_bnd(to_size(nchunks));
-  parallel_chunks(pool, n, kSweepChunk, [&](idx_t b, idx_t e) {
-    ProfScope aux(profile, "kway_refine", level, /*aux=*/true);
-    std::vector<SweepKey>& out = chunk_bnd[to_size(b / kSweepChunk)];
-    for (idx_t v = b; v < e; ++v) {
-      if (!ctx.may_move(v)) continue;
-      out.push_back({color[to_size(v)],
-                     mix_seed(pass_seed, static_cast<std::uint64_t>(v)), v});
-    }
-  });
+  // Snapshot the boundary from the degree cache, keying each vertex once:
+  // (color, hash, id).
   std::vector<SweepKey> boundary;
-  {
-    std::size_t total = 0;
-    for (const std::vector<SweepKey>& cb : chunk_bnd) total += cb.size();
-    boundary.reserve(total);
-    for (const std::vector<SweepKey>& cb : chunk_bnd) {
-      boundary.insert(boundary.end(), cb.begin(), cb.end());
-    }
+  for (idx_t v = 0; v < g.nvtxs; ++v) {
+    if (!ctx.may_move(v)) continue;
+    boundary.push_back({color[to_size(v)],
+                        mix_seed(pass_seed, static_cast<std::uint64_t>(v)),
+                        v});
   }
 
-  // Visit order: color classes ascending, hashed shuffle inside a class
-  // (the parallel replacement for the serial sweep's rng shuffle). Keys
-  // are per-vertex, so leaving out a vertex that cannot move does not
+  // Visit order: color classes ascending, hashed shuffle inside a class.
+  // Keys are per-vertex, so leaving out a vertex that cannot move does not
   // reorder the rest.
   std::sort(boundary.begin(), boundary.end(),
             [](const SweepKey& a, const SweepKey& b) {
@@ -191,34 +159,16 @@ idx_t colored_sweep(const Graph& g, KWayContext& ctx, idx_t nparts,
     const idx_t c = boundary[seg_b].color;
     std::size_t seg_e = seg_b;
     while (seg_e < boundary.size() && boundary[seg_e].color == c) ++seg_e;
-    const idx_t seg_n = static_cast<idx_t>(seg_e - seg_b);
 
-    // Propose phase: reads the context frozen as of this class's start.
-    parallel_chunks(pool, seg_n, kSweepChunk, [&](idx_t b, idx_t e) {
-      ProfScope aux(profile, "kway_refine", level, /*aux=*/true);
-      std::vector<sum_t> local_conn;
-      std::vector<idx_t> local_touched;
-      std::unique_ptr<WorkspacePool::Lease> lease;
-      if (wspool != nullptr) {
-        lease = std::make_unique<WorkspacePool::Lease>(wspool->acquire());
+    // Propose phase: reads the context as of this class's start.
+    for (std::size_t i = seg_b; i < seg_e; ++i) {
+      if (!best_move(ctx, where, boundary[i].v, dest[i], gains[i])) {
+        dest[i] = -1;
       }
-      std::vector<sum_t>& conn = lease != nullptr ? (*lease)->kconn
-                                                  : local_conn;
-      std::vector<idx_t>& touched = lease != nullptr ? (*lease)->ktouched
-                                                     : local_touched;
-      // A pooled buffer may carry another task's touched parts; start from
-      // the all-zero state the sparse-reset discipline expects.
-      conn.assign(to_size(nparts), 0);
-      touched.clear();
-      for (idx_t i = b; i < e; ++i) {
-        const std::size_t pos = seg_b + to_size(i);
-        propose_move(g, ctx, where, boundary[pos].v, conn, touched, dest[pos],
-                     gains[pos]);
-      }
-    });
+    }
 
-    // Commit phase: serial, in the class's fixed order, against the live
-    // state (earlier commits of THIS class shift weights and counts).
+    // Commit phase: in the class's fixed order, against the live state
+    // (earlier commits of THIS class shift weights and counts).
     for (std::size_t i = seg_b; i < seg_e; ++i) {
       const idx_t v = boundary[i].v;
       const idx_t d = dest[i];
@@ -237,33 +187,6 @@ idx_t colored_sweep(const Graph& g, KWayContext& ctx, idx_t nparts,
     seg_b = seg_e;
   }
   return moves;
-}
-
-/// Best admissible move of vertex v under the sweep rules. Returns the
-/// destination part (or -1) and its gain via out-params.
-bool best_move(const Graph& /*g*/, KWayContext& ctx,
-               const std::vector<idx_t>& where, idx_t v, idx_t& dest,
-               sum_t& gain) {
-  const idx_t own = where[to_size(v)];
-  if (!ctx.can_leave(own)) return false;
-  const sum_t idw = ctx.gather_connectivity(v);
-  dest = -1;
-  gain = 0;
-  real_t best_load = 0.0;
-  for (const idx_t p : ctx.touched()) {
-    if (!ctx.fits(v, p)) continue;
-    const sum_t g2 = checked_sub(ctx.conn(p), idw);
-    if (g2 < 0) continue;
-    const real_t load = ctx.part_load(p);
-    if (dest < 0 || g2 > gain || (g2 == gain && load < best_load)) {
-      dest = p;
-      gain = g2;
-      best_load = load;
-    }
-  }
-  if (dest < 0) return false;
-  if (gain == 0 && best_load >= ctx.part_load(own) - 1e-12) return false;
-  return true;
 }
 
 /// One priority-queue pass: boundary vertices keyed by their optimistic
@@ -287,7 +210,7 @@ idx_t pq_pass(const Graph& g, KWayContext& ctx, std::vector<idx_t>& where,
     popped[to_size(v)] = 1;  // each vertex moves at most once per pass
     idx_t dest;
     sum_t gain;
-    if (!best_move(g, ctx, where, v, dest, gain)) continue;
+    if (!best_move(ctx, where, v, dest, gain)) continue;
     ctx.move(v, dest);
     gain_sum = checked_add(gain_sum, gain);
     ++moves;
@@ -364,7 +287,7 @@ sum_t kway_refine(const Graph& g, idx_t nparts, std::vector<idx_t>& where,
                   const std::vector<real_t>& ub, int max_passes, Rng& rng,
                   KWayRefineStats* stats, const std::vector<real_t>* tpwgts,
                   TraceRecorder* trace, InvariantAuditor* audit,
-                  FlightRecorder* flight, const KWayExec* exec) {
+                  FlightRecorder* flight, const KWayExec* /*exec*/) {
   KWayContext ctx(g, nparts, where, ub, tpwgts);
 
   balance_context(ctx, trace, audit);
@@ -383,7 +306,7 @@ sum_t kway_refine(const Graph& g, idx_t nparts, std::vector<idx_t>& where,
     sum_t gain_sum = 0;
     const sum_t cut_before = delta_audit ? edge_cut(g, where) : 0;
     const idx_t moves =
-        colored_sweep(g, ctx, nparts, where, color, rng, gain_sum, exec);
+        colored_sweep(g, ctx, where, color, rng, gain_sum);
     if (delta_audit) {
       // Every accepted move's gain was exact at commit time, so the sum
       // must account for the sweep's cut change to the last unit.

@@ -16,21 +16,6 @@
 
 namespace mcgp {
 
-class ThreadPool;
-class WorkspacePool;
-class Profiler;
-
-/// Execution context for the parallel colored k-way sweep. The sweep
-/// algorithm itself runs at EVERY thread count (colored propose/commit,
-/// hashed visit order) — a null exec or pool merely executes the chunk
-/// tasks inline — so partitions are bit-identical across `num_threads`.
-struct KWayExec {
-  ThreadPool* pool = nullptr;
-  WorkspacePool* wspool = nullptr;  ///< per-chunk connectivity scratch
-  Profiler* profile = nullptr;      ///< aux attribution of worker chunks
-  int level = -1;                   ///< hierarchy level for the bucket
-};
-
 struct KWayRefineStats {
   int passes = 0;
   idx_t moves = 0;
@@ -77,12 +62,12 @@ bool kway_balance(const Graph& g, idx_t nparts, std::vector<idx_t>& where,
 /// Each sweep is a colored sweep: boundary vertices are bucketed by a
 /// greedy vertex coloring (adjacent vertices never share a color) and
 /// visited color by color in a per-pass hashed order. Within one color
-/// the best moves are PROPOSED concurrently from a frozen snapshot —
-/// same-color vertices are pairwise non-adjacent, so no proposal can
-/// change another's connectivity — and then COMMITTED serially in the
-/// fixed order, re-validating balance against the live state. A non-null
-/// `exec` runs the propose phases on its pool; the result is bit-identical
-/// at every thread count.
+/// the best moves are first PROPOSED from the state as of the class's
+/// start — same-color vertices are pairwise non-adjacent, so no commit of
+/// the class can change another member's connectivity or gain — and then
+/// COMMITTED in the fixed order, re-validating balance against the live
+/// state. The sweep is serial and its result does not depend on the
+/// thread count. `exec` is ignored (see IgnoredExec).
 sum_t kway_refine(const Graph& g, idx_t nparts, std::vector<idx_t>& where,
                   const std::vector<real_t>& ub, int max_passes, Rng& rng,
                   KWayRefineStats* stats = nullptr,

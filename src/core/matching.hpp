@@ -18,19 +18,6 @@
 
 namespace mcgp {
 
-class ThreadPool;
-class Profiler;
-
-/// Accepted and unused: matching is one serial greedy pass at every graph
-/// size, so there is nothing to run on a pool. Kept only so existing
-/// callers that build one and pass it to compute_matching_into still
-/// compile; the result never depends on its fields.
-struct MatchingExec {
-  ThreadPool* pool = nullptr;    ///< unused
-  Profiler* profile = nullptr;  ///< unused
-  int level = -1;               ///< unused
-};
-
 /// Compute a matching. match[v] == partner of v, or v itself if unmatched.
 /// The relation is symmetric (match[match[v]] == v) and only adjacent
 /// vertices are matched. A non-null `trace` accumulates the
@@ -48,7 +35,7 @@ std::vector<idx_t> compute_matching(const Graph& g, MatchScheme scheme,
 
 /// As compute_matching, but fills a caller-owned `match` vector and, when
 /// `ws` is non-null, reuses ws->perm so repeated coarsening levels
-/// allocate nothing. `exec` is accepted and ignored (see MatchingExec).
+/// allocate nothing. `exec` is ignored (see IgnoredExec).
 void compute_matching_into(const Graph& g, MatchScheme scheme, Rng& rng,
                            std::vector<idx_t>& match,
                            TraceRecorder* trace = nullptr,

@@ -467,12 +467,6 @@ PartitionResult refine_partition(const Graph& g, std::vector<idx_t> part,
   ProfScope run_prof(opts.profile, "run");
   run_prof.work(g.nedges(), g.nvtxs);
 
-  // Standalone refinement drives the same parallel colored sweep as the
-  // full pipeline: its own pool + workspace pool, sized by num_threads.
-  std::optional<ThreadPool> pool;
-  if (opts.num_threads > 1) pool.emplace(opts.num_threads);
-  WorkspacePool wspool;
-
   std::vector<real_t> ub(to_size(g.ncon));
   for (int i = 0; i < g.ncon; ++i) {
     ub[to_size(i)] = opts.ub_for(i);
@@ -493,13 +487,8 @@ PartitionResult refine_partition(const Graph& g, std::vector<idx_t> part,
       kway_refine_pq(g, opts.nparts, part, ub, opts.kway_passes, rng, nullptr,
                      tp, opts.trace, opts.audit, opts.flight);
     } else {
-      KWayExec kexec;
-      kexec.pool = pool.has_value() ? &*pool : nullptr;
-      kexec.wspool = &wspool;
-      kexec.profile = opts.profile;
-      kexec.level = 0;
       kway_refine(g, opts.nparts, part, ub, opts.kway_passes, rng, nullptr,
-                  tp, opts.trace, opts.audit, opts.flight, &kexec);
+                  tp, opts.trace, opts.audit, opts.flight);
     }
     // The refiner's own balancer can exit with residual overload on tight
     // instances; escalate to the dedicated rebalancer (greedy relief

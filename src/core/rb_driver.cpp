@@ -124,7 +124,7 @@ void rb_recurse(const RbContext& ctx, const Graph& sub,
 
     std::vector<idx_t> where;
     multilevel_bisect(sub, where, targets, ctx.opts, rng, stats, ctx.phases,
-                      ctx.pool, &ws, ctx.wspool);
+                      ctx.pool, &ws);
     ensure_nonempty_sides(sub, where);
 
     std::vector<char>& select = ws.select;
@@ -161,8 +161,7 @@ void rb_recurse(const RbContext& ctx, const Graph& sub,
 sum_t multilevel_bisect(const Graph& g, std::vector<idx_t>& where,
                         const BisectionTargets& targets, const Options& opts,
                         Rng& rng, MlBisectStats* stats, PhaseTimes* phases,
-                        ThreadPool* pool, Workspace* ws,
-                        WorkspacePool* wspool) {
+                        ThreadPool* pool, Workspace* ws) {
   const idx_t ct = bisect_coarsen_to(opts, g.ncon);
 
   PhaseTimes local_phases;
@@ -181,8 +180,6 @@ sum_t multilevel_bisect(const Graph& g, std::vector<idx_t>& where,
     cp.audit = opts.audit;
     cp.flight = opts.flight;
     cp.profile = opts.profile;
-    cp.pool = pool;
-    cp.wspool = wspool;
     h = coarsen_graph(g, cp, rng, ws);
   }
 
@@ -313,13 +310,8 @@ std::vector<idx_t> partition_recursive_bisection(const Graph& g,
     ProfScope ps(opts.profile, "rb.fixup");
     ps.work(g.nedges(), g.nvtxs);
     kway_balance(g, k, part, ub, rng, tp, opts.trace, opts.audit);
-    KWayExec kexec;
-    kexec.pool = pool;
-    kexec.wspool = &wspool;
-    kexec.profile = opts.profile;
-    kexec.level = 0;
     kway_refine(g, k, part, ub, /*max_passes=*/3, rng, nullptr, tp,
-                opts.trace, opts.audit, opts.flight, &kexec);
+                opts.trace, opts.audit, opts.flight);
     // Still overloaded: escalate to the dedicated rebalancer (greedy
     // relief moves, swaps on small graphs, bounded V-cycles). Serial, and
     // `part` is already thread-invariant here, so determinism holds.

@@ -40,8 +40,7 @@ sum_t multilevel_bisect(const Graph& g, std::vector<idx_t>& where,
                         const BisectionTargets& targets, const Options& opts,
                         Rng& rng, MlBisectStats* stats = nullptr,
                         PhaseTimes* phases = nullptr,
-                        ThreadPool* pool = nullptr, Workspace* ws = nullptr,
-                        WorkspacePool* wspool = nullptr);
+                        ThreadPool* pool = nullptr, Workspace* ws = nullptr);
 
 /// Full MC-RB k-way partitioning. Returns the part vector (size g.nvtxs,
 /// ids in [0, opts.nparts)). Runs on `pool` when non-null; otherwise

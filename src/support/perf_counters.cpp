@@ -406,7 +406,7 @@ void ProfScope::begin() {
   TlsSlot& slot = tls_slot();
   if (aux_) {
     // Work helping: when an enclosing non-aux scope of this profiler is
-    // live on this thread, that scope already measures the chunk — a
+    // live on this thread, that scope already measures the task — a
     // second interval here would double-count it.
     if (slot.profiler_id == p_->id_ && slot.depth > 0) {
       p_ = nullptr;

@@ -211,7 +211,7 @@ class Profiler {
 /// count — the enclosing scope already supplies both — and it disarms
 /// itself when a non-aux scope of the same profiler is already live on
 /// the current thread (work helping: the enclosing scope is counting this
-/// thread, a second interval would double-count the chunk).
+/// thread, a second interval would double-count the task).
 class ProfScope {
  public:
   ProfScope(Profiler* p, const char* phase, int level = -1, bool aux = false)

@@ -107,23 +107,6 @@ void TaskGroup::run(std::function<void()> fn) {
   pool_->cv_.notify_one();
 }
 
-void parallel_chunks(ThreadPool* pool, idx_t n, idx_t grain,
-                     const std::function<void(idx_t, idx_t)>& fn) {
-  if (n <= 0) return;
-  grain = std::max<idx_t>(grain, 1);
-  if (pool == nullptr || n <= grain) {
-    // Inline execution, same chunk boundaries as the pooled path.
-    for (idx_t b = 0; b < n; b += grain) fn(b, std::min<idx_t>(n, b + grain));
-    return;
-  }
-  TaskGroup group(pool);
-  for (idx_t b = 0; b < n; b += grain) {
-    const idx_t e = std::min<idx_t>(n, b + grain);
-    group.run([&fn, b, e] { fn(b, e); });
-  }
-  group.wait();
-}
-
 void TaskGroup::wait() {
   if (pool_ == nullptr) {
     wait_serial();

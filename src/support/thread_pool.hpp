@@ -108,14 +108,4 @@ class TaskGroup {
   std::exception_ptr error_ MCGP_GUARDED_BY(pool_->mu_);  ///< first failure
 };
 
-/// Split [0, n) into fixed-size chunks of `grain` and run fn(begin, end)
-/// for each — on the pool when one is supplied, inline otherwise. The
-/// chunk boundaries depend only on n and grain, NEVER on the pool or the
-/// thread count, so a caller whose chunk outputs land at positions derived
-/// from the chunk index gets thread-count-independent results for free.
-/// Blocks until every chunk has completed; the first exception thrown by
-/// any chunk is rethrown here.
-void parallel_chunks(ThreadPool* pool, idx_t n, idx_t grain,
-                     const std::function<void(idx_t, idx_t)>& fn);
-
 }  // namespace mcgp

@@ -32,8 +32,6 @@ struct Workspace {
   std::vector<idx_t> second;
   std::vector<char> select;   ///< side mask of the RB driver
   std::vector<idx_t> proj;    ///< uncoarsening projection ping-pong buffer
-  std::vector<sum_t> kconn;     ///< per-task k-way connectivity scratch
-  std::vector<idx_t> ktouched;  ///< parts touched by the kconn gather
 
   /// Dense coarse-neighbor position map (contract_graph). All -1 between
   /// uses; users restore the entries they touch.
@@ -58,8 +56,6 @@ struct Workspace {
                           second.capacity() * sizeof(idx_t) +
                           select.capacity() * sizeof(char) +
                           proj.capacity() * sizeof(idx_t) +
-                          kconn.capacity() * sizeof(sum_t) +
-                          ktouched.capacity() * sizeof(idx_t) +
                           pos_.capacity() * sizeof(idx_t) +
                           g2l_.capacity() * sizeof(idx_t);
     return static_cast<std::int64_t>(b);
@@ -124,7 +120,7 @@ class WorkspacePool {
   /// Accounted at lease-return time: every release() folds the returning
   /// workspace's footprint into a running total, so the value is accurate
   /// for every workspace that has ever been returned — including while
-  /// OTHER leases (e.g. parallel contraction chunk tasks) are
+  /// OTHER leases (e.g. concurrent recursive-bisection subtrees) are
   /// still out, which are counted at their last-returned size.
   std::int64_t footprint_bytes() const {
     MutexLock lk(mu_);

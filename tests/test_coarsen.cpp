@@ -6,7 +6,6 @@
 #include "gen/weight_gen.hpp"
 #include "graph/metrics.hpp"
 #include "support/check.hpp"
-#include "support/thread_pool.hpp"
 
 namespace mcgp {
 namespace {
@@ -77,39 +76,6 @@ TEST(ContractGraph, EdgeWeightConservation) {
   sum_t coarse_total = 0;
   for (const wgt_t w : c.adjwgt) coarse_total = checked_add(coarse_total, w);
   EXPECT_EQ(coarse_total, checked_sub(fine_total, collapsed));
-}
-
-// The chunked parallel contraction path (pool attached, coarse graph
-// larger than one chunk) must reproduce the serial output bit for bit:
-// same xadj, same adjacency order within every row, same weights.
-TEST(ContractGraph, ChunkedParallelPathBitIdenticalToSerial) {
-  Graph g = grid2d(120, 120);  // 14400 vertices -> ~7200 coarse > one chunk
-  apply_type_s_weights(g, 2, 10, 0, 9, 3);
-  Rng rng(3);
-  const auto match = compute_matching(g, MatchScheme::kHeavyEdge, rng);
-  std::vector<idx_t> cmap;
-  const idx_t nc = build_coarse_map(g, match, cmap);
-  ASSERT_GT(nc, 4096) << "coarse graph too small to exercise chunking";
-
-  const Graph serial = contract_graph(g, cmap, nc);
-
-  ThreadPool pool(4);
-  WorkspacePool wspool;
-  ContractExec exec;
-  exec.pool = &pool;
-  exec.wspool = &wspool;
-  Workspace ws;
-  const Graph chunked = contract_graph(g, cmap, nc, &ws, &exec);
-
-  EXPECT_EQ(chunked.xadj, serial.xadj);
-  EXPECT_EQ(chunked.adjncy, serial.adjncy);
-  EXPECT_EQ(chunked.adjwgt, serial.adjwgt);
-  EXPECT_EQ(chunked.vwgt, serial.vwgt);
-  EXPECT_TRUE(chunked.validate().empty());
-  // The chunk tasks leased their scratch from the pool, so the pool's
-  // footprint accounting must have seen them.
-  EXPECT_GT(wspool.size(), 0);
-  EXPECT_GT(wspool.footprint_bytes(), 0);
 }
 
 TEST(CoarsenGraph, ReachesTarget) {

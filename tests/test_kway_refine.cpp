@@ -14,9 +14,7 @@
 #include "gen/weight_gen.hpp"
 #include "graph/metrics.hpp"
 #include "part_hash.hpp"
-#include "support/thread_pool.hpp"
 #include "support/trace.hpp"
-#include "support/workspace.hpp"
 
 namespace mcgp {
 namespace {
@@ -237,34 +235,6 @@ TEST(KWayRefine, StatsConsistent) {
   EXPECT_EQ(stats.final_cut, cut);
   EXPECT_GT(stats.passes, 0);
   EXPECT_GT(stats.moves, 0);
-}
-
-// The colored sweep's propose phases are chunk tasks; attaching a pool
-// must not change a single move — the partition after refinement is bit-
-// identical to the inline execution at every seed.
-TEST(KWayRefine, PooledColoredSweepBitIdenticalToInline) {
-  Graph g = grid2d(96, 96);
-  apply_type_s_weights(g, 2, 10, 0, 9, 3);
-  std::vector<idx_t> inline_part = scrambled(g.nvtxs, 16, 21);
-  std::vector<idx_t> pooled_part = inline_part;
-
-  Rng a(4);
-  const sum_t inline_cut = kway_refine(g, 16, inline_part, ubvec(2, 1.10),
-                                       8, a);
-
-  ThreadPool pool(4);
-  WorkspacePool wspool;
-  KWayExec exec;
-  exec.pool = &pool;
-  exec.wspool = &wspool;
-  Rng b(4);
-  const sum_t pooled_cut =
-      kway_refine(g, 16, pooled_part, ubvec(2, 1.10), 8, b, nullptr, nullptr,
-                  nullptr, nullptr, nullptr, &exec);
-
-  EXPECT_EQ(pooled_part, inline_part);
-  EXPECT_EQ(pooled_cut, inline_cut);
-  EXPECT_GT(wspool.footprint_bytes(), 0);  // chunk leases were accounted
 }
 
 TEST(KWayRefinePq, ImprovesScrambledCutMassively) {

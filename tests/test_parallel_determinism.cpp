@@ -4,6 +4,7 @@
 // cannot influence the result.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <sstream>
 #include <string>
@@ -85,14 +86,14 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
-// The in-node data-parallel phases only engage above their size
-// thresholds (chunked contraction needs a coarse graph bigger than its
-// chunk), so the bit-identity contract needs a graph big enough to cross
-// them: a 101x101 triangulated grid (10201 vertices) coarsens through
-// several levels with the chunked path active. MC-KW additionally drives
-// the colored sweep on every level. Matching is serial at every size. Runs fully observed — boundary audits,
-// trace, flight recorder, and profiler attached — because observers must
-// never perturb the partition either.
+// Large-graph MC-KW case: a 101x101 triangulated grid (10201 vertices)
+// coarsens through several levels, so the seed partition of the coarsest
+// graph is a real recursive bisection. The phases that run concurrently
+// here are that seed partition's subtree fan-out and its initial-bisection
+// trials; matching, contraction and the k-way sweep are serial at every
+// thread count. Runs fully observed — boundary audits, trace, flight
+// recorder, and profiler attached — because observers must never perturb
+// the partition either.
 TEST(ParallelDeterminismLarge, KWayParallelPhasesBitIdenticalUnderObservers) {
   for (const int ncon : {1, 3}) {
     Graph g = tri_grid2d(101, 101);
@@ -150,6 +151,58 @@ TEST(ParallelDeterminismTight, RebalancerEngagedStaysBitIdentical) {
         EXPECT_EQ(parallel.part, serial.part)
             << "ncon=" << ncon << " threads=" << threads;
         EXPECT_EQ(parallel.cut, serial.cut);
+      }
+    }
+  }
+}
+
+// Repair input shaped like the repart-front-m3 benchmark workload: a
+// k-way partition of a Type-S weighted grid, then a disc-shaped front
+// that triples constraint 0 (and, for m=3, doubles constraint 2) of the
+// vertices it covers, leaving the old partition overloaded.
+// refine_partition must return the same repair at every thread count.
+TEST(ParallelDeterminismRepair, RefinePartitionIdenticalAcrossThreadCounts) {
+  constexpr idx_t kSide = 64;
+  constexpr idx_t kParts = 32;
+  for (const int ncon : {1, 3}) {
+    Graph g = grid2d(kSide, kSide, ncon);
+    if (ncon > 1) apply_type_s_weights(g, ncon, 16, 0, 19, 2024);
+    const std::vector<idx_t> start =
+        partition(g, base_options(Algorithm::kKWay, kParts, 1)).part;
+
+    const double r = 0.15 * static_cast<double>(kSide);
+    const double c = 0.4 * static_cast<double>(kSide);
+    for (idx_t y = 0; y < kSide; ++y) {
+      for (idx_t x = 0; x < kSide; ++x) {
+        const double dx = static_cast<double>(x) - c;
+        const double dy = static_cast<double>(y) - c;
+        if (dx * dx + dy * dy > r * r) continue;
+        wgt_t* w = g.weights(y * kSide + x);
+        w[0] *= 3;
+        if (ncon > 2) w[2] *= 2;
+      }
+    }
+    g.finalize();
+    const std::vector<real_t> lb = imbalance(g, start, kParts);
+    ASSERT_GT(*std::max_element(lb.begin(), lb.end()), 1.05)
+        << "the front must overload the old partition, ncon=" << ncon;
+
+    std::vector<idx_t> reference;
+    sum_t reference_cut = 0;
+    for (const int threads : {1, 2, 4, 8}) {
+      Options o = base_options(Algorithm::kKWay, kParts, /*seed=*/7);
+      o.num_threads = threads;
+      const PartitionResult res = refine_partition(g, start, o);
+      ASSERT_TRUE(validate_partition(g, res.part, kParts).empty())
+          << "ncon=" << ncon << " threads=" << threads;
+      EXPECT_TRUE(res.feasible) << "ncon=" << ncon << " threads=" << threads;
+      if (threads == 1) {
+        reference = res.part;
+        reference_cut = res.cut;
+      } else {
+        EXPECT_EQ(res.part, reference)
+            << "ncon=" << ncon << " threads=" << threads;
+        EXPECT_EQ(res.cut, reference_cut);
       }
     }
   }
