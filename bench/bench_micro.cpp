@@ -7,6 +7,7 @@
 #include "core/kway_refine.hpp"
 #include "core/matching.hpp"
 #include "core/partitioner.hpp"
+#include "core/rebalance.hpp"
 #include "core/refine2way.hpp"
 #include "gen/mesh_gen.hpp"
 #include "gen/weight_gen.hpp"
@@ -131,6 +132,28 @@ void BM_GreedyEpisodes(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * g.nvtxs);
 }
 BENCHMARK(BM_GreedyEpisodes)->Unit(benchmark::kMillisecond);
+
+// One rebalance_partition call on the tight instance of
+// RebalancePartition.TightGrid13StartPinned: grid-13x13, Type-S m=3, k=64,
+// contiguous id blocks at ub 1.05. The tolerance is jointly unachievable,
+// so every stage of the search runs. A fresh Rng per call keeps the kicks,
+// and so the work, the same in every iteration.
+void BM_RebalanceTight(benchmark::State& state) {
+  constexpr idx_t kParts = 64;
+  Graph g = grid2d(13, 13, 3);
+  apply_type_s_weights(g, 3, 16, 0, 19, 1003);
+  std::vector<idx_t> start(to_size(g.nvtxs));
+  for (idx_t v = 0; v < g.nvtxs; ++v) start[to_size(v)] = v * kParts / g.nvtxs;
+  const std::vector<real_t> ub(3, 1.05);
+  for (auto _ : state) {
+    std::vector<idx_t> where = start;
+    Rng rng(1);
+    const bool ok = rebalance_partition(g, kParts, where, ub, rng);
+    benchmark::DoNotOptimize(ok);
+  }
+  state.SetItemsProcessed(state.iterations() * g.nvtxs);
+}
+BENCHMARK(BM_RebalanceTight)->Unit(benchmark::kMillisecond);
 
 void BM_InducedSubgraph(benchmark::State& state) {
   const Graph g = make_bench_graph(static_cast<idx_t>(state.range(0)), 1);

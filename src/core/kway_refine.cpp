@@ -273,6 +273,79 @@ bool balance_context(KWayContext& ctx, TraceRecorder* trace,
   return ok;
 }
 
+/// The steps both k-way refiners share: balance, then passes until the cut
+/// stops improving (zero-gain balance jiggling alone is not progress,
+/// bounded by a generous multiple of the configured pass count as a safety
+/// net against oscillation), then a final balance. `run_pass(ctx, gain_sum)`
+/// performs one pass and returns its moves; `pass_site` and `refine_site`
+/// label the audit checks.
+template <typename RunPass>
+sum_t refine_passes(const Graph& g, idx_t nparts, std::vector<idx_t>& where,
+                    const std::vector<real_t>& ub, int max_passes,
+                    KWayRefineStats* stats, const std::vector<real_t>* tpwgts,
+                    TraceRecorder* trace, InvariantAuditor* audit,
+                    FlightRecorder* flight, const char* pass_site,
+                    const char* refine_site, RunPass run_pass) {
+  KWayContext ctx(g, nparts, where, ub, tpwgts);
+
+  balance_context(ctx, trace, audit);
+
+  const bool delta_audit = audit != nullptr && audit->paranoid();
+  const int pass_cap = 4 * max_passes;
+  for (int pass = 0; pass < pass_cap; ++pass) {
+    TraceSpan span(trace, "kway.pass");
+    sum_t gain_sum = 0;
+    const sum_t cut_before = delta_audit ? edge_cut(g, where) : 0;
+    const idx_t moves = run_pass(ctx, gain_sum);
+    if (delta_audit) {
+      // Every accepted move's gain was exact at commit time, so the sum
+      // must account for the pass's cut change to the last unit.
+      audit->check_cut_delta(cut_before, gain_sum, edge_cut(g, where),
+                             pass_site);
+      audit->check_kway_state(g, where, nparts, ctx.pwgts(), &ctx.vcounts(),
+                              pass_site, &ctx.ids(), &ctx.eds());
+    }
+    if (stats != nullptr) {
+      ++stats->passes;
+      stats->moves += moves;
+    }
+    if (span.enabled()) {
+      trace_count(trace, "kway.passes");
+      trace_count(trace, "kway.moves", moves);
+      span.arg({"pass", pass});
+      span.arg({"moves", moves});
+      span.arg({"gain", gain_sum});
+      span.arg({"max_overload", ctx.max_overload()});
+    }
+    if (flight != nullptr) {
+      FlightSample fs;
+      fs.stage = FlightSample::Stage::kKWayPass;
+      fs.pass = pass;
+      fs.nvtxs = g.nvtxs;
+      fs.nedges = g.nedges();
+      fs.moves = moves;
+      fs.gain = gain_sum;
+      fs.worst_imbalance = ctx.max_overload();
+      flight->record(fs);
+    }
+    if (moves == 0 || (gain_sum == 0 && pass + 1 >= max_passes)) break;
+  }
+
+  if (audit != nullptr && audit->boundaries()) {
+    audit->check_kway_state(g, where, nparts, ctx.pwgts(), &ctx.vcounts(),
+                            refine_site, &ctx.ids(), &ctx.eds());
+  }
+
+  balance_context(ctx, trace, audit);
+
+  const sum_t cut = edge_cut(g, where);
+  if (stats != nullptr) {
+    stats->final_cut = cut;
+    stats->feasible = ctx.feasible();
+  }
+  return cut;
+}
+
 }  // namespace
 
 bool kway_balance(const Graph& g, idx_t nparts, std::vector<idx_t>& where,
@@ -288,72 +361,14 @@ sum_t kway_refine(const Graph& g, idx_t nparts, std::vector<idx_t>& where,
                   KWayRefineStats* stats, const std::vector<real_t>* tpwgts,
                   TraceRecorder* trace, InvariantAuditor* audit,
                   FlightRecorder* flight, const KWayExec* /*exec*/) {
-  KWayContext ctx(g, nparts, where, ub, tpwgts);
-
-  balance_context(ctx, trace, audit);
-
   // The graph is static across passes, so one coloring serves them all.
   std::vector<idx_t> color;
   color_graph(g, color);
-
-  // Sweep until the cut stops improving (zero-gain balance jiggling alone
-  // is not progress), bounded by a generous multiple of the configured
-  // pass count as a safety net against oscillation.
-  const bool delta_audit = audit != nullptr && audit->paranoid();
-  const int pass_cap = 4 * max_passes;
-  for (int pass = 0; pass < pass_cap; ++pass) {
-    TraceSpan span(trace, "kway.pass");
-    sum_t gain_sum = 0;
-    const sum_t cut_before = delta_audit ? edge_cut(g, where) : 0;
-    const idx_t moves =
-        colored_sweep(g, ctx, where, color, rng, gain_sum);
-    if (delta_audit) {
-      // Every accepted move's gain was exact at commit time, so the sum
-      // must account for the sweep's cut change to the last unit.
-      audit->check_cut_delta(cut_before, gain_sum, edge_cut(g, where),
-                             "kway.sweep");
-      audit->check_kway_state(g, where, nparts, ctx.pwgts(), &ctx.vcounts(),
-                              "kway.sweep", &ctx.ids(), &ctx.eds());
-    }
-    if (stats != nullptr) {
-      ++stats->passes;
-      stats->moves += moves;
-    }
-    if (span.enabled()) {
-      trace_count(trace, "kway.passes");
-      trace_count(trace, "kway.moves", moves);
-      span.arg({"pass", pass});
-      span.arg({"moves", moves});
-      span.arg({"gain", gain_sum});
-      span.arg({"max_overload", ctx.max_overload()});
-    }
-    if (flight != nullptr) {
-      FlightSample fs;
-      fs.stage = FlightSample::Stage::kKWayPass;
-      fs.pass = pass;
-      fs.nvtxs = g.nvtxs;
-      fs.nedges = g.nedges();
-      fs.moves = moves;
-      fs.gain = gain_sum;
-      fs.worst_imbalance = ctx.max_overload();
-      flight->record(fs);
-    }
-    if (moves == 0 || (gain_sum == 0 && pass + 1 >= max_passes)) break;
-  }
-
-  if (audit != nullptr && audit->boundaries()) {
-    audit->check_kway_state(g, where, nparts, ctx.pwgts(), &ctx.vcounts(),
-                            "kway.refine", &ctx.ids(), &ctx.eds());
-  }
-
-  balance_context(ctx, trace, audit);
-
-  const sum_t cut = edge_cut(g, where);
-  if (stats != nullptr) {
-    stats->final_cut = cut;
-    stats->feasible = ctx.feasible();
-  }
-  return cut;
+  return refine_passes(
+      g, nparts, where, ub, max_passes, stats, tpwgts, trace, audit, flight,
+      "kway.sweep", "kway.refine", [&](KWayContext& ctx, sum_t& gain_sum) {
+        return colored_sweep(g, ctx, where, color, rng, gain_sum);
+      });
 }
 
 sum_t kway_refine_pq(const Graph& g, idx_t nparts, std::vector<idx_t>& where,
@@ -361,63 +376,12 @@ sum_t kway_refine_pq(const Graph& g, idx_t nparts, std::vector<idx_t>& where,
                      KWayRefineStats* stats,
                      const std::vector<real_t>* tpwgts, TraceRecorder* trace,
                      InvariantAuditor* audit, FlightRecorder* flight) {
-  KWayContext ctx(g, nparts, where, ub, tpwgts);
-
-  balance_context(ctx, trace, audit);
-
   BucketQueue queue;
-  const bool delta_audit = audit != nullptr && audit->paranoid();
-  const int pass_cap = 4 * max_passes;
-  for (int pass = 0; pass < pass_cap; ++pass) {
-    TraceSpan span(trace, "kway.pass");
-    sum_t gain_sum = 0;
-    const sum_t cut_before = delta_audit ? edge_cut(g, where) : 0;
-    const idx_t moves = pq_pass(g, ctx, where, queue, rng, gain_sum);
-    if (delta_audit) {
-      audit->check_cut_delta(cut_before, gain_sum, edge_cut(g, where),
-                             "kway.pq_pass");
-      audit->check_kway_state(g, where, nparts, ctx.pwgts(), &ctx.vcounts(),
-                              "kway.pq_pass", &ctx.ids(), &ctx.eds());
-    }
-    if (stats != nullptr) {
-      ++stats->passes;
-      stats->moves += moves;
-    }
-    if (span.enabled()) {
-      trace_count(trace, "kway.passes");
-      trace_count(trace, "kway.moves", moves);
-      span.arg({"pass", pass});
-      span.arg({"moves", moves});
-      span.arg({"gain", gain_sum});
-      span.arg({"max_overload", ctx.max_overload()});
-    }
-    if (flight != nullptr) {
-      FlightSample fs;
-      fs.stage = FlightSample::Stage::kKWayPass;
-      fs.pass = pass;
-      fs.nvtxs = g.nvtxs;
-      fs.nedges = g.nedges();
-      fs.moves = moves;
-      fs.gain = gain_sum;
-      fs.worst_imbalance = ctx.max_overload();
-      flight->record(fs);
-    }
-    if (moves == 0 || (gain_sum == 0 && pass + 1 >= max_passes)) break;
-  }
-
-  if (audit != nullptr && audit->boundaries()) {
-    audit->check_kway_state(g, where, nparts, ctx.pwgts(), &ctx.vcounts(),
-                            "kway.refine_pq", &ctx.ids(), &ctx.eds());
-  }
-
-  balance_context(ctx, trace, audit);
-
-  const sum_t cut = edge_cut(g, where);
-  if (stats != nullptr) {
-    stats->final_cut = cut;
-    stats->feasible = ctx.feasible();
-  }
-  return cut;
+  return refine_passes(
+      g, nparts, where, ub, max_passes, stats, tpwgts, trace, audit, flight,
+      "kway.pq_pass", "kway.refine_pq", [&](KWayContext& ctx, sum_t& gain_sum) {
+        return pq_pass(g, ctx, where, queue, rng, gain_sum);
+      });
 }
 
 }  // namespace mcgp

@@ -65,8 +65,8 @@ std::vector<real_t> effective_ubvec(const Graph& g, const Options& opts);
 
 /// Drive `where` to feasibility under `ub`: greedy gain-to-relief episodes
 /// first (heap-ordered moves out of the argmax-overloaded part), pairwise
-/// swaps when single moves deadlock on small graphs, then up to
-/// `max_vcycles` partition-restricted V-cycles (re-coarsen merging only
+/// swaps when single moves deadlock on small graphs, then up to three
+/// partition-restricted V-cycles (re-coarsen merging only
 /// same-part vertices, rebalance the coarse problem where whole clusters
 /// move at once, project back with per-level refinement). Returns the final
 /// feasibility; `where` is left with the best (lowest max-overload) state
@@ -79,7 +79,6 @@ bool rebalance_partition(const Graph& g, idx_t nparts,
                          RebalanceStats* stats = nullptr,
                          TraceRecorder* trace = nullptr,
                          InvariantAuditor* audit = nullptr,
-                         FlightRecorder* flight = nullptr,
-                         int max_vcycles = 3);
+                         FlightRecorder* flight = nullptr);
 
 }  // namespace mcgp

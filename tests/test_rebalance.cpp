@@ -18,6 +18,7 @@
 #include "gen/mesh_gen.hpp"
 #include "gen/weight_gen.hpp"
 #include "graph/metrics.hpp"
+#include "part_hash.hpp"
 #include "support/check.hpp"
 #include "support/random.hpp"
 
@@ -160,6 +161,34 @@ TEST(FeasibilityAudit, PassesOnHonestDeclarationTripsOnCorruption) {
       audit.check_feasibility(g, r.part, k, r.ubvec_used, nullptr,
                               /*declared_feasible=*/false, "test.stale"),
       AuditFailure);
+}
+
+// rebalance_partition's own output on the tight instance, from a fixed
+// start (contiguous id blocks, ~2.6 vertices per part) at the 1.05
+// tolerance that is jointly unachievable for these weights: every stage
+// runs (episodes, swaps, summed-overload descent, a V-cycle, kicks) and
+// the call stays infeasible. Pins the whole result, so any change to the
+// search shows up here first, and the stats give a work budget an exact
+// baseline.
+TEST(RebalancePartition, TightGrid13StartPinned) {
+  Graph g = grid2d(13, 13, 3);
+  apply_type_s_weights(g, 3, 16, 0, 19, 1003);
+  const idx_t k = 64;
+  std::vector<idx_t> where(to_size(g.nvtxs));
+  for (idx_t v = 0; v < g.nvtxs; ++v) where[to_size(v)] = v * k / g.nvtxs;
+  const std::vector<real_t> ub(3, 1.05);
+  Rng rng(1);
+  RebalanceStats stats;
+  const bool ok = rebalance_partition(g, k, where, ub, rng, nullptr, &stats);
+  EXPECT_FALSE(ok);
+  EXPECT_FALSE(stats.feasible);
+  EXPECT_EQ(stats.moves, 811);
+  EXPECT_EQ(stats.swaps, 416);
+  EXPECT_EQ(stats.episodes, 217);
+  EXPECT_EQ(stats.vcycles, 1);
+  EXPECT_NEAR(stats.max_overload, 1.179138, 1e-6);
+  EXPECT_EQ(edge_cut(g, where), 311);
+  EXPECT_EQ(part_hash(where), 0x73d751306fdeba1bULL);
 }
 
 // The CI tight-instance gate (named step in perf-smoke): 64 parts on 169
