@@ -211,15 +211,35 @@ void BM_KWayRefine(benchmark::State& state) {
   Rng seedr(3);
   std::vector<idx_t> start(to_size(g.nvtxs));
   for (auto& p : start) p = static_cast<idx_t>(seedr.next_below(k));
-  Rng rng(1);
   for (auto _ : state) {
     std::vector<idx_t> where = start;
+    Rng rng(1);  // same pass seeds every iteration: every call is the same
     const sum_t cut = kway_refine(g, k, where, ub, 2, rng);
     benchmark::DoNotOptimize(cut);
   }
   state.SetItemsProcessed(state.iterations() * g.nvtxs);
 }
 BENCHMARK(BM_KWayRefine)->Args({200, 1})->Args({200, 3});
+
+// The thin boundary the pipeline actually refines: partition()'s own k=64
+// result on kway-grid2d-m3's input shape (240x240, Type-S m=3), refined
+// again with the driver's pass count. Few boundary vertices propose a move.
+void BM_KWayRefineConverged(benchmark::State& state) {
+  const Graph g = make_bench_graph(240, 3);
+  Options o;
+  o.nparts = 64;
+  o.seed = 1;
+  const std::vector<idx_t> start = partition(g, o).part;
+  const std::vector<real_t> ub(3, 1.05);
+  for (auto _ : state) {
+    std::vector<idx_t> where = start;
+    Rng rng(1);
+    const sum_t cut = kway_refine(g, o.nparts, where, ub, o.kway_passes, rng);
+    benchmark::DoNotOptimize(cut);
+  }
+  state.SetItemsProcessed(state.iterations() * g.nvtxs);
+}
+BENCHMARK(BM_KWayRefineConverged);
 
 void BM_PartitionEndToEnd(benchmark::State& state) {
   const Graph g = make_bench_graph(static_cast<idx_t>(state.range(0)),

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <numeric>
 #include <string>
 
 #include "core/audit.hpp"
@@ -43,26 +44,6 @@ bool kway_feasible(const Graph& g, const std::vector<sum_t>& pwgts,
   return true;
 }
 
-namespace {
-
-// The shared bookkeeping (part weights, counts, limits, connectivity
-// scratch) lives in core/kway_context.hpp so the rebalancer can reuse it.
-
-/// Visit-order key of one boundary vertex in a colored sweep pass: color
-/// class, then the per-pass hash of the id, then the id. Computed once per
-/// vertex per pass so the sort compares stored keys.
-struct SweepKey {
-  idx_t color;
-  std::uint64_t hash;
-  idx_t v;
-};
-
-/// Greedy vertex coloring in ascending id order: each vertex takes the
-/// smallest color absent among its already-colored neighbors. Adjacent
-/// vertices never share a color, so same-color boundary vertices cannot
-/// affect each other's connectivity — the independence that keeps a
-/// color class's proposals exact until commit. Deterministic by
-/// construction.
 void color_graph(const Graph& g, std::vector<idx_t>& color) {
   color.assign(to_size(g.nvtxs), -1);
   std::vector<idx_t> used;  // used[c] == v iff c is taken next to v
@@ -78,6 +59,32 @@ void color_graph(const Graph& g, std::vector<idx_t>& color) {
     color[to_size(v)] = c;
   }
 }
+
+namespace {
+
+// The shared bookkeeping (part weights, counts, limits, connectivity
+// scratch) lives in core/kway_context.hpp so the rebalancer can reuse it.
+
+/// Buffers of the colored sweep, owned once per kway_refine call: the
+/// static coloring, the per-pass boundary snapshot bucketed by color, the
+/// class offsets into it, and one class's proposals.
+struct SweepBuffers {
+  /// One proposed move: the proposer, its destination and gain, and its
+  /// per-pass commit key.
+  struct Proposal {
+    std::uint64_t hash;
+    idx_t v;
+    idx_t dest;
+    sum_t gain;
+  };
+
+  std::vector<idx_t> color;
+  idx_t ncolors = 0;
+  std::vector<idx_t> boundary;     ///< pass-start snapshot, ascending id
+  std::vector<idx_t> by_color;     ///< the snapshot, stable-bucketed by color
+  std::vector<std::size_t> class_at;  ///< class c: [class_at[c], class_at[c+1])
+  std::vector<Proposal> proposals;
+};
 
 /// Best admissible move of vertex v under the sweep rules, evaluated
 /// against the context's current state. Returns false when there is none;
@@ -114,77 +121,77 @@ bool best_move(KWayContext& ctx, const std::vector<idx_t>& where, idx_t v,
 
 /// One cut-driven colored sweep. Boundary vertices are visited color class
 /// by color class; within a class every proposal is computed from the
-/// state as of the class's start and then committed in the fixed hashed
+/// state as of the class's start and then committed in the per-pass hashed
 /// order, re-validating can_leave/fits/zero-gain-balance against the live
 /// weights. A proposal's GAIN needs no re-validation: only same-class
 /// commits intervene and none of them is adjacent to the proposer, so its
 /// connectivity is unchanged — which keeps the paranoid cut-delta audit
 /// exact. Returns the number of moves performed and the total cut
 /// improvement via `gain_sum`.
+///
+/// Only proposers are keyed and sorted. The commit order is (hash, id) over
+/// the class's proposals, which is the order a sort of the whole class
+/// would give with the non-proposers skipped; proposing reads only the
+/// class-start state, so it runs in plain id order.
 idx_t colored_sweep(const Graph& g, KWayContext& ctx,
-                    const std::vector<idx_t>& where,
-                    const std::vector<idx_t>& color, Rng& rng,
-                    sum_t& gain_sum) {
+                    const std::vector<idx_t>& where, SweepBuffers& buf,
+                    Rng& rng, sum_t& gain_sum) {
   // One draw per pass: every ordering decision below derives from it by
   // vertex id.
   const std::uint64_t pass_seed = rng.next_u64();
 
-  // Snapshot the boundary from the degree cache, keying each vertex once:
-  // (color, hash, id).
-  std::vector<SweepKey> boundary;
+  // Snapshot the boundary from the degree cache, counting each class.
+  buf.boundary.clear();
+  buf.class_at.assign(to_size(buf.ncolors) + 1, 0);
   for (idx_t v = 0; v < g.nvtxs; ++v) {
     if (!ctx.may_move(v)) continue;
-    boundary.push_back({color[to_size(v)],
-                        mix_seed(pass_seed, static_cast<std::uint64_t>(v)),
-                        v});
+    buf.boundary.push_back(v);
+    ++buf.class_at[to_size(buf.color[to_size(v)])];
   }
-
-  // Visit order: color classes ascending, hashed shuffle inside a class.
-  // Keys are per-vertex, so leaving out a vertex that cannot move does not
-  // reorder the rest.
-  std::sort(boundary.begin(), boundary.end(),
-            [](const SweepKey& a, const SweepKey& b) {
-              if (a.color != b.color) return a.color < b.color;
-              if (a.hash != b.hash) return a.hash < b.hash;
-              return a.v < b.v;
-            });
-
-  std::vector<idx_t> dest(boundary.size(), -1);
-  std::vector<sum_t> gains(boundary.size(), 0);
+  // Stable counting pass: class_at[c] becomes the end of class c, and
+  // filling each class backwards in descending id leaves it in ascending
+  // id order with class_at[c] at its start.
+  std::partial_sum(buf.class_at.begin(), buf.class_at.end(),
+                   buf.class_at.begin());
+  buf.by_color.resize(buf.boundary.size());
+  for (auto it = buf.boundary.rbegin(); it != buf.boundary.rend(); ++it) {
+    buf.by_color[--buf.class_at[to_size(buf.color[to_size(*it)])]] = *it;
+  }
 
   idx_t moves = 0;
   gain_sum = 0;
-  std::size_t seg_b = 0;
-  while (seg_b < boundary.size()) {
-    const idx_t c = boundary[seg_b].color;
-    std::size_t seg_e = seg_b;
-    while (seg_e < boundary.size() && boundary[seg_e].color == c) ++seg_e;
-
+  for (std::size_t c = 0; c + 1 < buf.class_at.size(); ++c) {
     // Propose phase: reads the context as of this class's start.
-    for (std::size_t i = seg_b; i < seg_e; ++i) {
-      if (!best_move(ctx, where, boundary[i].v, dest[i], gains[i])) {
-        dest[i] = -1;
-      }
+    buf.proposals.clear();
+    for (std::size_t i = buf.class_at[c]; i < buf.class_at[c + 1]; ++i) {
+      const idx_t v = buf.by_color[i];
+      idx_t dest = -1;
+      sum_t gain = 0;
+      if (!best_move(ctx, where, v, dest, gain)) continue;
+      buf.proposals.push_back(
+          {mix_seed(pass_seed, static_cast<std::uint64_t>(v)), v, dest, gain});
     }
+    std::sort(buf.proposals.begin(), buf.proposals.end(),
+              [](const SweepBuffers::Proposal& a,
+                 const SweepBuffers::Proposal& b) {
+                if (a.hash != b.hash) return a.hash < b.hash;
+                return a.v < b.v;
+              });
 
     // Commit phase: in the class's fixed order, against the live state
     // (earlier commits of THIS class shift weights and counts).
-    for (std::size_t i = seg_b; i < seg_e; ++i) {
-      const idx_t v = boundary[i].v;
-      const idx_t d = dest[i];
-      if (d < 0) continue;
-      const idx_t own = where[to_size(v)];
+    for (const SweepBuffers::Proposal& pr : buf.proposals) {
+      const idx_t own = where[to_size(pr.v)];
       if (!ctx.can_leave(own)) continue;
-      if (!ctx.fits(v, d)) continue;
-      if (gains[i] == 0 &&
-          ctx.part_load(d) >= ctx.part_load(own) - 1e-12) {
+      if (!ctx.fits(pr.v, pr.dest)) continue;
+      if (pr.gain == 0 &&
+          ctx.part_load(pr.dest) >= ctx.part_load(own) - 1e-12) {
         continue;
       }
-      ctx.move(v, d);
-      gain_sum = checked_add(gain_sum, gains[i]);
+      ctx.move(pr.v, pr.dest);
+      gain_sum = checked_add(gain_sum, pr.gain);
       ++moves;
     }
-    seg_b = seg_e;
   }
   return moves;
 }
@@ -362,12 +369,13 @@ sum_t kway_refine(const Graph& g, idx_t nparts, std::vector<idx_t>& where,
                   TraceRecorder* trace, InvariantAuditor* audit,
                   FlightRecorder* flight, const KWayExec* /*exec*/) {
   // The graph is static across passes, so one coloring serves them all.
-  std::vector<idx_t> color;
-  color_graph(g, color);
+  SweepBuffers buf;
+  color_graph(g, buf.color);
+  for (const idx_t c : buf.color) buf.ncolors = std::max(buf.ncolors, c + 1);
   return refine_passes(
       g, nparts, where, ub, max_passes, stats, tpwgts, trace, audit, flight,
       "kway.sweep", "kway.refine", [&](KWayContext& ctx, sum_t& gain_sum) {
-        return colored_sweep(g, ctx, where, color, rng, gain_sum);
+        return colored_sweep(g, ctx, where, buf, rng, gain_sum);
       });
 }
 

@@ -49,6 +49,14 @@ bool kway_balance(const Graph& g, idx_t nparts, std::vector<idx_t>& where,
                   TraceRecorder* trace = nullptr,
                   InvariantAuditor* audit = nullptr);
 
+/// Greedy vertex coloring in ascending id order: each vertex takes the
+/// smallest color absent among its already-colored neighbors. Adjacent
+/// vertices never share a color, so same-color boundary vertices cannot
+/// affect each other's connectivity — the independence that keeps a color
+/// class's proposals exact until commit. Deterministic by construction;
+/// the colors are 0..c-1 for some c.
+void color_graph(const Graph& g, std::vector<idx_t>& color);
+
 /// Greedy refinement. Runs up to `max_passes` sweeps (plus balancing when
 /// needed) and returns the final cut. `tpwgts` (optional) gives per-part
 /// target fractions; null = uniform. A non-null `trace` records one
@@ -61,13 +69,13 @@ bool kway_balance(const Graph& g, idx_t nparts, std::vector<idx_t>& where,
 ///
 /// Each sweep is a colored sweep: boundary vertices are bucketed by a
 /// greedy vertex coloring (adjacent vertices never share a color) and
-/// visited color by color in a per-pass hashed order. Within one color
-/// the best moves are first PROPOSED from the state as of the class's
-/// start — same-color vertices are pairwise non-adjacent, so no commit of
-/// the class can change another member's connectivity or gain — and then
-/// COMMITTED in the fixed order, re-validating balance against the live
-/// state. The sweep is serial and its result does not depend on the
-/// thread count. `exec` is ignored (see IgnoredExec).
+/// visited color by color. Within one color the best moves are first
+/// PROPOSED from the state as of the class's start — same-color vertices
+/// are pairwise non-adjacent, so no commit of the class can change another
+/// member's connectivity or gain — and then COMMITTED in a per-pass hashed
+/// order, re-validating balance against the live state. The sweep is
+/// serial and its result does not depend on the thread count. `exec` is
+/// ignored (see IgnoredExec).
 sum_t kway_refine(const Graph& g, idx_t nparts, std::vector<idx_t>& where,
                   const std::vector<real_t>& ub, int max_passes, Rng& rng,
                   KWayRefineStats* stats = nullptr,

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <string>
 
+#include "core/audit.hpp"
 #include "core/coarsen.hpp"
 #include "core/kway_context.hpp"
 #include "core/matching.hpp"
@@ -389,9 +390,10 @@ TEST(KWayDegreeCache, ReloadRebuildsAfterExternalChange) {
 }
 
 // Exact result recorded before the degree cache existed. The cache only
-// replaces adjacency re-scans (boundary snapshot, ed < id prune, stored
-// sort keys, balance keys), so no decision may change: a diff here means
-// the refiner's behaviour changed, not just its speed.
+// replaces adjacency re-scans (boundary snapshot, ed < id prune, balance
+// keys), and the sweep now hashes and sorts only the vertices that propose
+// a move instead of its whole boundary; neither may change a decision: a
+// diff here means the refiner's behaviour changed, not just its speed.
 TEST(KWayDegreeCache, PartitionsPinnedAcrossThreadCounts) {
   for (const int threads : {1, 4}) {
     Graph g = grid2d(60, 60);
@@ -406,6 +408,42 @@ TEST(KWayDegreeCache, PartitionsPinnedAcrossThreadCounts) {
         << "threads=" << threads;
     EXPECT_TRUE(r.feasible);
   }
+}
+
+// Exact result of kway_refine alone on an irregular graph, recorded
+// before the sweep sorted only its proposers. The mesh's greedy coloring
+// has many classes (a fine grid colors into two), so this pins the
+// per-class propose/commit order across several classes; the hashed start
+// puts nearly every vertex on the boundary.
+TEST(KWayRefine, FeMeshSweepPinned) {
+  Graph g = fe_mesh(3000, 5);
+  apply_type_p_weights(g, 3, 32, 6);
+  std::vector<idx_t> color;
+  color_graph(g, color);
+  EXPECT_GE(*std::max_element(color.begin(), color.end()) + 1, 3);
+
+  const idx_t k = 16;
+  std::vector<idx_t> part(to_size(g.nvtxs));
+  for (idx_t v = 0; v < g.nvtxs; ++v) {
+    part[to_size(v)] = static_cast<idx_t>(
+        mix_seed(21, static_cast<std::uint64_t>(v)) %
+        static_cast<std::uint64_t>(k));
+  }
+  // A paranoid auditor checks every pass's summed gains against the
+  // recomputed cut, which fails on any commit whose gain went stale.
+  InvariantAuditor audit(AuditLevel::kParanoid);
+  Rng rng(1);
+  KWayRefineStats stats;
+  const sum_t cut = kway_refine(g, k, part, ubvec(3), 8, rng, &stats,
+                                nullptr, nullptr, &audit);
+  EXPECT_EQ(stats.passes, 15);
+  EXPECT_EQ(stats.moves, 3598);
+  EXPECT_EQ(stats.final_cut, 17767);
+  EXPECT_EQ(cut, stats.final_cut);
+  EXPECT_EQ(part_hash(part), 0x6fc3efc92e536fbdULL);
+  EXPECT_TRUE(stats.feasible);
+  EXPECT_EQ(audit.count(AuditCheck::kCutDelta),
+            static_cast<std::uint64_t>(stats.passes));
 }
 
 // Exact result of the repair path (refine_partition: k-way balancer, sweep,
